@@ -6,7 +6,7 @@ use crate::gen::{AffineGenConfig, AffineProgramGen};
 use crate::model::{AffineModelChecker, AffineSemType};
 use crate::multilang::AffineMultiLang;
 use crate::syntax::{AffiType, MlType};
-use lcvm::RunResult;
+use lcvm::{Machine, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats};
@@ -144,12 +144,12 @@ impl CaseStudy for AffineCase {
         self.system.compile_only(program).map_err(|e| e.to_string())
     }
 
-    fn execute(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
-    }
-
+    /// Drives the whole batch through **one** LCVM machine under the
+    /// *standard* semantics, reset in place between programs (the
+    /// continuation stack's grown buffer survives as an allocation, never
+    /// as state).
     fn execute_batch(&self, batch: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        Machine::run_batch(batch.into_iter().map(|compiled| compiled.expr), fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

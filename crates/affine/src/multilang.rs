@@ -2,9 +2,9 @@
 //! either the standard LCVM semantics or the augmented (phantom-flag)
 //! semantics that additionally enforces the static affine discipline.
 //!
-//! Since PR 2 the driver is the shared [`InteropPipeline`] from
-//! `semint-core`; this module supplies the §4 instantiation
-//! ([`AffineSystem`]) plus the phantom-semantics runner, which is unique to
+//! [`AffineMultiLang`] owns the Fig. 9 rule set and the fuel budget and
+//! sequences the stages itself: Affi/MiniML typecheck, compile with glue,
+//! and an LCVM run — plus the phantom-semantics runner, which is unique to
 //! this case study.
 
 use crate::compile::{CompileError, CompileOutput, Compiler};
@@ -12,7 +12,7 @@ use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
 use lcvm::{Machine, MachineConfig, PhantomConfig, RunResult};
-use semint_core::pipeline::{InteropPipeline, InteropSystem, PipelineError};
+use semint_core::pipeline::PipelineError;
 use semint_core::Fuel;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -57,140 +57,67 @@ impl fmt::Display for AffSourceType {
     }
 }
 
-/// The §4 instantiation of [`InteropSystem`]: MiniML + Affi compiled (with
-/// Fig. 9 glue) to LCVM.
-#[derive(Debug, Clone, Default)]
-pub struct AffineSystem {
-    conversions: AffineConversions,
-}
-
-impl AffineSystem {
-    /// A system over the standard (memoizing) rule set.
-    pub fn new() -> Self {
-        AffineSystem {
-            conversions: AffineConversions::standard(),
-        }
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &AffineConversions {
-        &self.conversions
-    }
-}
-
-impl InteropSystem for AffineSystem {
-    type Program = AffProgram;
-    type Ty = AffSourceType;
-    type Artifact = CompileOutput;
-    type TypeError = AffineTypeError;
-    type CompileError = CompileError;
-    type Exec = RunResult;
-
-    fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
-        match program {
-            AffProgram::Affi(e) => check_affi(&AffineCtx::empty(), e, &self.conversions)
-                .map(|(t, _)| AffSourceType::Affi(t)),
-            AffProgram::Ml(e) => check_ml(&AffineCtx::empty(), e, &self.conversions)
-                .map(|(t, _)| AffSourceType::Ml(t)),
-        }
-    }
-
-    fn compile(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
-        let compiler = Compiler::new(&self.conversions, &self.conversions);
-        match program {
-            AffProgram::Affi(e) => compiler.compile_affi_program(e),
-            AffProgram::Ml(e) => compiler.compile_ml_program(e),
-        }
-    }
-
-    fn execute(&self, artifact: CompileOutput, fuel: Fuel) -> RunResult {
-        Machine::run_expr(artifact.expr, fuel)
-    }
-
-    /// Drives the whole batch through **one** LCVM machine under the
-    /// *standard* semantics, reset in place between programs (the
-    /// continuation stack's grown buffer survives as an allocation, never
-    /// as state), instead of constructing a machine per artifact.
-    fn execute_batch(&self, artifacts: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
-        Machine::run_batch(artifacts.into_iter().map(|artifact| artifact.expr), fuel)
-    }
-}
-
 /// The §4 multi-language system: MiniML + Affi + the Fig. 9 conversions over
-/// LCVM, driven by the shared [`InteropPipeline`].
+/// LCVM.
 #[derive(Debug, Clone, Default)]
 pub struct AffineMultiLang {
-    pipeline: InteropPipeline<AffineSystem>,
+    conversions: AffineConversions,
+    fuel: Fuel,
 }
 
 impl AffineMultiLang {
     /// A system with the standard rule set and default fuel.
     pub fn new() -> Self {
         AffineMultiLang {
-            pipeline: InteropPipeline::new(AffineSystem::new()),
+            conversions: AffineConversions::standard(),
+            fuel: Fuel::default(),
         }
     }
 
     /// Overrides the fuel budget used by the run methods.
     pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.pipeline = self.pipeline.with_fuel(fuel);
+        self.fuel = fuel;
         self
     }
 
     /// The conversion rule set in use.
     pub fn conversions(&self) -> &AffineConversions {
-        self.pipeline.system().conversions()
-    }
-
-    /// The shared pipeline driving this system.
-    pub fn pipeline(&self) -> &InteropPipeline<AffineSystem> {
-        &self.pipeline
+        &self.conversions
     }
 
     /// Type checks a closed multi-language program (either host language).
     pub fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
-        self.pipeline.typecheck(program)
+        match program {
+            AffProgram::Affi(e) => self.typecheck_affi(e).map(AffSourceType::Affi),
+            AffProgram::Ml(e) => self.typecheck_ml(e).map(AffSourceType::Ml),
+        }
     }
 
     /// Type checks a closed MiniML program.
     pub fn typecheck_ml(&self, e: &MlExpr) -> Result<MlType, AffineTypeError> {
-        check_ml(&AffineCtx::empty(), e, self.conversions()).map(|(t, _)| t)
+        check_ml(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
     }
 
     /// Type checks a closed Affi program.
     pub fn typecheck_affi(&self, e: &AffiExpr) -> Result<AffiType, AffineTypeError> {
-        check_affi(&AffineCtx::empty(), e, self.conversions()).map(|(t, _)| t)
+        check_affi(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
     }
 
     /// Type checks and compiles a closed multi-language program.
     pub fn compile(&self, program: &AffProgram) -> Result<CompileOutput, AffineMultiLangError> {
-        Ok(self.pipeline.check_and_compile(program)?.artifact)
+        self.typecheck(program).map_err(PipelineError::Type)?;
+        self.compile_only(program).map_err(PipelineError::Compile)
     }
 
     /// Compiles a program already known to type check, skipping the
-    /// pipeline's typecheck stage (the sweep engine re-checks the
-    /// generator's type claim once up front).
+    /// typecheck stage (the sweep engine re-checks the generator's type
+    /// claim once up front).
     pub fn compile_only(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
-        self.pipeline.system().compile(program)
-    }
-
-    /// Runs an already-compiled program under an explicit fuel budget and
-    /// the *standard* semantics, consuming the artifact (no clone — the
-    /// compile-once flow).
-    pub fn execute_with_fuel(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
-        self.pipeline.execute_with_fuel(compiled, fuel)
-    }
-
-    /// Runs a batch of already-compiled programs under one fuel budget and
-    /// the *standard* semantics through a single reused machine (see
-    /// [`InteropSystem::execute_batch`] on [`AffineSystem`]), returning
-    /// results in input order.
-    pub fn execute_batch_with_fuel(
-        &self,
-        compiled: Vec<CompileOutput>,
-        fuel: Fuel,
-    ) -> Vec<RunResult> {
-        self.pipeline.execute_batch(compiled, fuel)
+        let compiler = Compiler::new(&self.conversions, &self.conversions);
+        match program {
+            AffProgram::Affi(e) => compiler.compile_affi_program(e),
+            AffProgram::Ml(e) => compiler.compile_ml_program(e),
+        }
     }
 
     /// Type checks and compiles a closed MiniML program.
@@ -203,9 +130,10 @@ impl AffineMultiLang {
         self.compile(&AffProgram::Affi(e.clone()))
     }
 
-    /// Runs a compiled program under the *standard* semantics.
+    /// Runs a compiled program under the *standard* semantics, keeping the
+    /// artifact (one clone — the price of re-runnability).
     pub fn run(&self, compiled: &CompileOutput) -> RunResult {
-        self.pipeline.execute(compiled)
+        Machine::run_expr(compiled.expr.clone(), self.fuel)
     }
 
     /// Runs a compiled program under the *augmented* (phantom-flag) semantics,
@@ -217,7 +145,7 @@ impl AffineMultiLang {
             )),
             pinned: BTreeSet::new(),
         };
-        Machine::with_config(compiled.expr.clone(), cfg).run(self.pipeline.fuel())
+        Machine::with_config(compiled.expr.clone(), cfg).run(self.fuel)
     }
 
     /// Runs a closed multi-language program under the given fuel budget.
@@ -226,17 +154,18 @@ impl AffineMultiLang {
         program: &AffProgram,
         fuel: Fuel,
     ) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run_with_fuel(program, fuel)
+        let compiled = self.compile(program)?;
+        Ok(Machine::run_expr(compiled.expr, fuel))
     }
 
     /// Convenience: type check, compile and run a MiniML program.
     pub fn run_ml(&self, e: &MlExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run(&AffProgram::Ml(e.clone()))
+        self.run_with_fuel(&AffProgram::Ml(e.clone()), self.fuel)
     }
 
     /// Convenience: type check, compile and run an Affi program.
     pub fn run_affi(&self, e: &AffiExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run(&AffProgram::Affi(e.clone()))
+        self.run_with_fuel(&AffProgram::Affi(e.clone()), self.fuel)
     }
 }
 
@@ -260,6 +189,15 @@ mod tests {
         let e = MlExpr::add(MlExpr::int(1), MlExpr::boundary(affi, MlType::Int));
         let sys = AffineMultiLang::new();
         let r = sys.run_ml(&e).unwrap();
+        assert_eq!(r.halt, Halt::Value(Value::Int(42)));
+
+        // A one-step budget cuts the same run short; an explicit budget
+        // overrides the facade's own.
+        let starved = AffineMultiLang::new().with_fuel(Fuel::steps(1));
+        assert_eq!(starved.run_ml(&e).unwrap().halt, Halt::OutOfFuel);
+        let r = starved
+            .run_with_fuel(&AffProgram::Ml(e), Fuel::default())
+            .unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(42)));
     }
 

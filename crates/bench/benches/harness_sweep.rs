@@ -41,10 +41,10 @@ fn bench_generated_workloads(c: &mut Criterion) {
             |b, ps| {
                 b.iter(|| {
                     for p in ps {
-                        let report = case
-                            .run(p, Fuel::steps(200_000))
-                            .expect("generated programs run");
-                        assert!(case.stats(&report).outcome.is_safe());
+                        let compiled = case.compile(p).expect("generated programs compile");
+                        for report in case.execute_batch(vec![compiled], Fuel::steps(200_000)) {
+                            assert!(case.stats(&report).outcome.is_safe());
+                        }
                     }
                 })
             },

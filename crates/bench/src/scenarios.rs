@@ -100,10 +100,14 @@ mod tests {
         for case in AnyCase::all(false) {
             let programs = generated_programs(&case, 0..12);
             assert_eq!(programs.len(), 12);
-            for program in &programs {
-                let report = case
-                    .run(program, semint_core::Fuel::steps(200_000))
-                    .unwrap_or_else(|e| panic!("{}: {e}", case.name()));
+            let compiled = programs
+                .iter()
+                .map(|program| {
+                    case.compile(program)
+                        .unwrap_or_else(|e| panic!("{}: {e}", case.name()))
+                })
+                .collect();
+            for report in case.execute_batch(compiled, semint_core::Fuel::steps(200_000)) {
                 assert!(case.stats(&report).outcome.is_safe(), "{}", case.name());
             }
         }

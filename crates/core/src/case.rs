@@ -343,40 +343,21 @@ pub trait CaseStudy {
     /// guarantee one typecheck and one compile per scenario.
     fn compile(&self, program: &Self::Program) -> Result<Self::Compiled, String>;
 
-    /// Runs an already-compiled artifact under the given step budget.
+    /// Runs a batch of already-compiled artifacts under the given step
+    /// budget (the same budget for each), returning one report per artifact
+    /// **in input order** — the one execution path: the sweep engine runs
+    /// every scenario through here, as a batch of one at `--batch 1`.
     ///
-    /// The artifact is taken by value so the compile-once-execute-once sweep
+    /// Artifacts are taken by value so the compile-once-execute-once sweep
     /// path never copies a compiled program; callers that also want to model
-    /// check borrow the artifact through
-    /// [`CaseStudy::model_check_compiled`] *before* executing it.
-    fn execute(&self, compiled: Self::Compiled, fuel: Fuel) -> Self::Report;
-
-    /// Runs a whole batch of already-compiled artifacts under the given
-    /// step budget (the same budget for each), returning one report per
-    /// artifact **in input order**.
-    ///
-    /// The default simply executes one artifact at a time; case studies
-    /// whose target machine supports in-place reuse override this to drive
-    /// the entire batch through **one** machine instance (reset between
-    /// programs), amortising machine setup across the batch.  Overrides
-    /// must be observationally equivalent to the default — same reports,
-    /// same order — which is what lets the sweep engine batch freely
-    /// without perturbing digests.
-    fn execute_batch(&self, batch: Vec<Self::Compiled>, fuel: Fuel) -> Vec<Self::Report> {
-        batch
-            .into_iter()
-            .map(|compiled| self.execute(compiled, fuel))
-            .collect()
-    }
-
-    /// Compiles and runs a program under the given step budget — the
-    /// one-shot convenience over [`CaseStudy::compile`] +
-    /// [`CaseStudy::execute`] for ad-hoc callers.  The sweep engine never
-    /// calls this: scenarios and shrink candidates alike go through the
-    /// explicit compile → execute artifact path.
-    fn run(&self, program: &Self::Program, fuel: Fuel) -> Result<Self::Report, String> {
-        Ok(self.execute(self.compile(program)?, fuel))
-    }
+    /// check borrow the artifact through [`CaseStudy::model_check_compiled`]
+    /// *before* executing it.  Case studies whose target machine supports
+    /// in-place reuse drive the entire batch through **one** machine
+    /// instance (reset between programs), amortising machine setup across
+    /// the batch; a batch's reports must equal those of running each
+    /// artifact in a batch of its own, which is what lets the sweep engine
+    /// batch freely without perturbing digests.
+    fn execute_batch(&self, batch: Vec<Self::Compiled>, fuel: Fuel) -> Vec<Self::Report>;
 
     /// Projects a case-study-specific report into the shared statistics
     /// vocabulary.

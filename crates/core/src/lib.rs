@@ -59,7 +59,7 @@ pub use convert::{
 pub use fresh::FreshGen;
 pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
-pub use pipeline::{CompiledProgram, InteropPipeline, InteropSystem, PipelineError};
+pub use pipeline::PipelineError;
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
 pub use symbol::Var;
 pub use telemetry::{OpClass, VmCounters};

@@ -1,74 +1,15 @@
-//! The generic interop boundary pipeline: typecheck → compile-with-glue →
-//! run under fuel.
+//! The error shape shared by every case study's multi-language driver.
 //!
 //! Every case study in the paper instantiates the same driver shape: a
 //! multi-language program is type checked (consulting the convertibility
 //! rules at boundaries), compiled to the common target (emitting glue code at
-//! boundaries), and run on the target machine under a step budget.  The seed
-//! repo told that story three times with three hand-rolled `multilang.rs`
-//! drivers and three structurally identical error enums; this module captures
-//! it once:
-//!
-//! * [`InteropSystem`] is what a language pair provides — the two stages that
-//!   differ per pair (typecheck, compile) plus target execution;
-//! * [`InteropPipeline`] is the driver everybody shares — it sequences the
-//!   stages, owns the default fuel budget, and reports failures through the
-//!   single [`PipelineError`] shape.
-//!
-//! The per-case `MultiLang` types remain as thin, ergonomically typed facades
-//! over an `InteropPipeline` (see `sharedmem::multilang`, `affine_interop::
-//! multilang`, `memgc_interop::multilang`).
+//! boundaries), and run on the target machine under a step budget.  The
+//! per-case `MultiLang` facades (`sharedmem::multilang`, `affine_interop::
+//! multilang`, `memgc_interop::multilang`) each sequence those stages over
+//! their own free typecheck, compile and VM functions; what they share is
+//! the one way a stage can fail, [`PipelineError`].
 
-use crate::fuel::Fuel;
 use std::fmt;
-
-/// What a multi-language system provides to the shared pipeline: the paper's
-/// three designer artifacts (rules + compilers + target) behind two fallible
-/// stages and one execution step.
-pub trait InteropSystem {
-    /// Closed multi-language programs (either host language at the top).
-    type Program;
-    /// Source types (of either language).
-    type Ty;
-    /// The compiled target artifact (a target program plus whatever metadata
-    /// the case study's runner needs).
-    type Artifact;
-    /// Type-checking errors, including `NotConvertible` boundary rejections.
-    type TypeError: fmt::Display;
-    /// Compilation errors (missing conversion glue).
-    type CompileError: fmt::Display;
-    /// The result of one target-machine run.
-    type Exec;
-
-    /// Type checks a closed program, consulting the convertibility rules at
-    /// boundaries.
-    fn typecheck(&self, program: &Self::Program) -> Result<Self::Ty, Self::TypeError>;
-
-    /// Compiles a (type-correct) program to the target, emitting conversion
-    /// glue at boundaries.
-    fn compile(&self, program: &Self::Program) -> Result<Self::Artifact, Self::CompileError>;
-
-    /// Runs a compiled artifact on the target machine under `fuel`.
-    ///
-    /// The artifact is taken by value so the common compile-and-run path
-    /// never copies a compiled program; callers that want to re-run a kept
-    /// artifact clone explicitly (see [`InteropPipeline::execute`]).
-    fn execute(&self, artifact: Self::Artifact, fuel: Fuel) -> Self::Exec;
-
-    /// Runs a whole batch of compiled artifacts under the same `fuel`
-    /// budget, returning one result per artifact **in input order**.
-    ///
-    /// The default executes one artifact at a time.  Systems whose target
-    /// machine is resettable override this to reuse **one** machine for the
-    /// entire batch (clear-in-place between programs), amortising machine
-    /// setup; overrides must be observationally equivalent to the default.
-    fn execute_batch(&self, artifacts: Vec<Self::Artifact>, fuel: Fuel) -> Vec<Self::Exec> {
-        artifacts
-            .into_iter()
-            .map(|artifact| self.execute(artifact, fuel))
-            .collect()
-    }
-}
 
 /// The one error shape shared by every case study's pipeline, generic over
 /// the per-stage error types.
@@ -99,204 +40,12 @@ where
 {
 }
 
-/// The result type of the fallible pipeline stages over a system `S`.
-pub type PipelineResult<T, S> =
-    Result<T, PipelineError<<S as InteropSystem>::TypeError, <S as InteropSystem>::CompileError>>;
-
-/// A compiled multi-language program: the checked source type plus the
-/// target artifact, ready to run or inspect.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledProgram<Ty, A> {
-    /// The source-level type the checker assigned to the program.
-    pub ty: Ty,
-    /// The compiled target artifact.
-    pub artifact: A,
-}
-
-/// The shared driver: typecheck → compile-with-glue → run under fuel.
-#[derive(Debug, Clone, Default)]
-pub struct InteropPipeline<S> {
-    system: S,
-    fuel: Fuel,
-}
-
-impl<S: InteropSystem> InteropPipeline<S> {
-    /// A pipeline over `system` with the default fuel budget.
-    pub fn new(system: S) -> Self {
-        InteropPipeline {
-            system,
-            fuel: Fuel::default(),
-        }
-    }
-
-    /// Overrides the fuel used by [`InteropPipeline::run`].
-    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// The underlying system.
-    pub fn system(&self) -> &S {
-        &self.system
-    }
-
-    /// The configured fuel budget.
-    pub fn fuel(&self) -> Fuel {
-        self.fuel
-    }
-
-    /// Stage 1: type check.
-    pub fn typecheck(&self, program: &S::Program) -> Result<S::Ty, S::TypeError> {
-        self.system.typecheck(program)
-    }
-
-    /// Stages 1–2: type check, then compile with glue — the artifact-first
-    /// entry point.  Callers keep the returned [`CompiledProgram`] and feed
-    /// its artifact to [`InteropPipeline::execute_with_fuel`] (or borrow it
-    /// for inspection/model checking) instead of re-running the early stages
-    /// per consumer.
-    pub fn check_and_compile(
-        &self,
-        program: &S::Program,
-    ) -> PipelineResult<CompiledProgram<S::Ty, S::Artifact>, S> {
-        let ty = self
-            .system
-            .typecheck(program)
-            .map_err(PipelineError::Type)?;
-        let artifact = self
-            .system
-            .compile(program)
-            .map_err(PipelineError::Compile)?;
-        Ok(CompiledProgram { ty, artifact })
-    }
-
-    /// Stages 1–3 under the pipeline's own fuel budget.
-    pub fn run(&self, program: &S::Program) -> PipelineResult<S::Exec, S> {
-        self.run_with_fuel(program, self.fuel)
-    }
-
-    /// Stages 1–3 under an explicit fuel budget (for per-program budgets
-    /// without cloning the system).  One-shot callers only; anything that
-    /// runs *and* inspects the same program should
-    /// [`InteropPipeline::check_and_compile`] once and execute the kept
-    /// artifact.
-    pub fn run_with_fuel(&self, program: &S::Program, fuel: Fuel) -> PipelineResult<S::Exec, S> {
-        let compiled = self.check_and_compile(program)?;
-        Ok(self.execute_with_fuel(compiled.artifact, fuel))
-    }
-
-    /// Stage 3 alone: runs an owned artifact under an explicit fuel budget
-    /// without copying it — the execution half of the compile-once flow.
-    pub fn execute_with_fuel(&self, artifact: S::Artifact, fuel: Fuel) -> S::Exec {
-        self.system.execute(artifact, fuel)
-    }
-
-    /// Stage 3 over a whole batch: runs the owned artifacts under one fuel
-    /// budget (the same for each), in input order, letting the system reuse
-    /// a single machine across the batch when it supports doing so (see
-    /// [`InteropSystem::execute_batch`]).
-    pub fn execute_batch(&self, artifacts: Vec<S::Artifact>, fuel: Fuel) -> Vec<S::Exec> {
-        self.system.execute_batch(artifacts, fuel)
-    }
-
-    /// Runs an already-compiled artifact under the pipeline's fuel, keeping
-    /// the artifact (one clone — the price of re-runnability).
-    pub fn execute(&self, artifact: &S::Artifact) -> S::Exec
-    where
-        S::Artifact: Clone,
-    {
-        self.system.execute(artifact.clone(), self.fuel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A toy system: programs are integers, "compilation" doubles them,
-    /// negative programs are type errors and odd ones compile errors.
-    struct Toy;
-
-    impl InteropSystem for Toy {
-        type Program = i64;
-        type Ty = &'static str;
-        type Artifact = i64;
-        type TypeError = String;
-        type CompileError = String;
-        type Exec = (i64, Fuel);
-
-        fn typecheck(&self, program: &i64) -> Result<&'static str, String> {
-            if *program < 0 {
-                Err(format!("{program} is negative"))
-            } else {
-                Ok("nat")
-            }
-        }
-
-        fn compile(&self, program: &i64) -> Result<i64, String> {
-            if program % 2 == 1 {
-                Err(format!("{program} is odd"))
-            } else {
-                Ok(program * 2)
-            }
-        }
-
-        fn execute(&self, artifact: i64, fuel: Fuel) -> (i64, Fuel) {
-            (artifact, fuel)
-        }
-    }
-
     #[test]
-    fn pipeline_sequences_the_stages() {
-        let p = InteropPipeline::new(Toy).with_fuel(Fuel::steps(7));
-        let compiled = p.check_and_compile(&4).unwrap();
-        assert_eq!(compiled.ty, "nat");
-        assert_eq!(compiled.artifact, 8);
-        let (out, fuel) = p.run(&4).unwrap();
-        assert_eq!(out, 8);
-        assert_eq!(fuel, Fuel::steps(7));
-        let (_, fuel) = p.run_with_fuel(&4, Fuel::steps(3)).unwrap();
-        assert_eq!(fuel, Fuel::steps(3));
-    }
-
-    #[test]
-    fn kept_artifacts_execute_without_recompiling() {
-        let p = InteropPipeline::new(Toy).with_fuel(Fuel::steps(9));
-        let kept = p.check_and_compile(&6).unwrap();
-        assert_eq!(kept.ty, "nat");
-        assert_eq!(kept.artifact, 12);
-        // The artifact is consumed by value and runs under the explicit
-        // budget — no clone, no second typecheck/compile.
-        let (out, fuel) = p.execute_with_fuel(kept.artifact, Fuel::steps(2));
-        assert_eq!(out, 12);
-        assert_eq!(fuel, Fuel::steps(2));
-    }
-
-    #[test]
-    fn batch_execution_preserves_order_and_matches_one_at_a_time() {
-        let p = InteropPipeline::new(Toy).with_fuel(Fuel::steps(5));
-        let artifacts: Vec<i64> = vec![8, 2, 12, 4];
-        let one_at_a_time: Vec<_> = artifacts
-            .iter()
-            .map(|&a| p.execute_with_fuel(a, Fuel::steps(5)))
-            .collect();
-        let batched = p.execute_batch(artifacts, Fuel::steps(5));
-        assert_eq!(batched, one_at_a_time);
-        assert_eq!(batched[2], (12, Fuel::steps(5)));
-        assert!(p.execute_batch(Vec::new(), Fuel::steps(5)).is_empty());
-    }
-
-    #[test]
-    fn stage_errors_keep_their_stage() {
-        let p = InteropPipeline::new(Toy);
-        match p.run(&-3) {
-            Err(PipelineError::Type(e)) => assert!(e.contains("negative")),
-            other => panic!("expected a type error, got {other:?}"),
-        }
-        match p.check_and_compile(&5) {
-            Err(PipelineError::Compile(e)) => assert!(e.contains("odd")),
-            other => panic!("expected a compile error, got {other:?}"),
-        }
+    fn errors_display_their_stage() {
         assert_eq!(
             PipelineError::<String, String>::Type("t".into()).to_string(),
             "type error: t"

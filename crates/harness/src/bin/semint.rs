@@ -31,8 +31,7 @@ use semint_core::stats::SweepReport;
 use semint_core::Fuel;
 use semint_harness::cases::AnyCase;
 use semint_harness::engine::{
-    parallel_map, run_generated, run_scenario, sweep_all, sweep_all_observed, SweepConfig,
-    MAX_SEEDS_PER_SWEEP,
+    parallel_map, run_scenario, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
 };
 use semint_harness::json::{
     looks_like_bench_json, parse_bench_json, parse_bench_json_with_counter_keys, render_bench_json,
@@ -686,8 +685,9 @@ fn selected_cases(opts: &Options) -> Result<Vec<AnyCase>, String> {
             .map(|c| vec![c])
             .ok_or_else(|| {
                 format!(
-                    "unknown case study `{}` (sharedmem | affine | memgc | all)",
-                    opts.case
+                    "unknown case study `{}` ({} | all)",
+                    opts.case,
+                    AnyCase::NAMES.join(" | ")
                 )
             })
     }
@@ -794,13 +794,15 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     };
     let mut clean = true;
     for case in &cases {
+        // Generation is deterministic: this untimed copy is only printed;
+        // the timed run below generates its own.
         let scenario = case.generate(seed, &opts.profile);
         println!("case {}", case.name());
         println!("  seed    {seed}");
         println!("  profile {}", opts.profile);
         println!("  type    {}", scenario.ty);
         println!("  program {}", scenario.program);
-        let record = run_generated(case, &scenario, &cfg);
+        let record = run_scenario(case, seed, &cfg);
         if let Some(stats) = &record.stats {
             println!("  outcome {} after {} steps", stats.outcome, stats.steps);
             let c = &stats.counters;

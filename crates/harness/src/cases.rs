@@ -91,46 +91,27 @@ pub enum AnyCase {
 }
 
 impl AnyCase {
+    /// The three case-study names, in the order [`AnyCase::all`] builds them.
+    pub const NAMES: [&'static str; 3] = ["sharedmem", "affine", "memgc"];
+
     /// All three case studies, optionally with their deliberately broken
     /// variants (used to demonstrate counterexample reporting).
     pub fn all(broken: bool) -> Vec<AnyCase> {
-        vec![
-            AnyCase::SharedMem(if broken {
-                SharedMemCase::broken()
-            } else {
-                SharedMemCase::standard()
-            }),
-            AnyCase::Affine(if broken {
-                AffineCase::broken()
-            } else {
-                AffineCase::standard()
-            }),
-            AnyCase::MemGc(if broken {
-                MemGcCase::broken()
-            } else {
-                MemGcCase::standard()
-            }),
-        ]
+        AnyCase::NAMES
+            .iter()
+            .map(|name| AnyCase::by_name(name, broken).expect("NAMES are all known"))
+            .collect()
     }
 
-    /// Looks a case study up by name (`sharedmem`, `affine`, `memgc`).
+    /// Looks a case study up by name (one of [`AnyCase::NAMES`]).
     pub fn by_name(name: &str, broken: bool) -> Option<AnyCase> {
-        match name {
-            "sharedmem" => Some(AnyCase::SharedMem(if broken {
-                SharedMemCase::broken()
-            } else {
-                SharedMemCase::standard()
-            })),
-            "affine" => Some(AnyCase::Affine(if broken {
-                AffineCase::broken()
-            } else {
-                AffineCase::standard()
-            })),
-            "memgc" => Some(AnyCase::MemGc(if broken {
-                MemGcCase::broken()
-            } else {
-                MemGcCase::standard()
-            })),
+        match (name, broken) {
+            ("sharedmem", false) => Some(AnyCase::SharedMem(SharedMemCase::standard())),
+            ("sharedmem", true) => Some(AnyCase::SharedMem(SharedMemCase::broken())),
+            ("affine", false) => Some(AnyCase::Affine(AffineCase::standard())),
+            ("affine", true) => Some(AnyCase::Affine(AffineCase::broken())),
+            ("memgc", false) => Some(AnyCase::MemGc(MemGcCase::standard())),
+            ("memgc", true) => Some(AnyCase::MemGc(MemGcCase::broken())),
             _ => None,
         }
     }
@@ -209,25 +190,12 @@ impl CaseStudy for AnyCase {
         }
     }
 
-    fn execute(&self, compiled: AnyCompiled, fuel: Fuel) -> AnyReport {
-        match (self, compiled) {
-            (AnyCase::SharedMem(c), AnyCompiled::SharedMem(a)) => {
-                AnyReport::StackLang(c.execute(a, fuel))
-            }
-            (AnyCase::Affine(c), AnyCompiled::Affine(a)) => AnyReport::Lcvm(c.execute(a, fuel)),
-            (AnyCase::MemGc(c), AnyCompiled::MemGc(a)) => AnyReport::Lcvm(c.execute(a, fuel)),
-            // A mismatched artifact cannot be produced through this trait;
-            // the engine always pairs a case's own artifact with its
-            // execute call.
-            _ => unreachable!("artifact does not belong to case study `{}`", self.name()),
-        }
-    }
-
     fn execute_batch(&self, batch: Vec<AnyCompiled>, fuel: Fuel) -> Vec<AnyReport> {
         // Unwrap the erased artifacts into the case study's own type so its
         // batched runner (one reused machine for the whole batch) does the
         // driving; mismatched artifacts cannot be produced through this
-        // trait, exactly as in `execute`.
+        // trait — the engine always pairs a case's own artifacts with its
+        // execute call.
         let foreign =
             || -> ! { unreachable!("artifact does not belong to case study `{}`", self.name()) };
         match self {
@@ -363,7 +331,7 @@ mod tests {
 
     #[test]
     fn by_name_round_trips() {
-        for name in ["sharedmem", "affine", "memgc"] {
+        for name in AnyCase::NAMES {
             let case = AnyCase::by_name(name, false).expect("known name");
             assert_eq!(case.name(), name);
         }

@@ -306,17 +306,16 @@ fn finish_executed<C: CaseStudy>(
     if !stats.outcome.is_safe() {
         // Shrink candidates are *different* programs, so each takes its own
         // trip through the artifact pipeline: typecheck once, compile once,
-        // execute that artifact — never the compile-their-own `run`
-        // convenience, so the compile-once invariant holds here too.
+        // execute that artifact as a batch of one, so the compile-once
+        // invariant holds here too.
         let (shrunk, steps) = shrink_failure(case, &scenario.program, |p| {
             case.typecheck(p).is_ok()
                 && case
                     .compile(p)
                     .map(|compiled| {
-                        !case
-                            .stats(&case.execute(compiled, cfg.profile.fuel))
-                            .outcome
-                            .is_safe()
+                        case.execute_batch(vec![compiled], cfg.profile.fuel)
+                            .iter()
+                            .any(|report| !case.stats(report).outcome.is_safe())
                     })
                     .unwrap_or(false)
         });
@@ -358,63 +357,27 @@ fn finish_executed<C: CaseStudy>(
     seal(record, timings, cfg.time)
 }
 
-/// Runs the full pipeline for one seed of one case study.
+/// Runs the full pipeline for one seed of one case study: [`run_batch`]
+/// over a batch of one.
 pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> ScenarioRecord {
-    let mut generate_ns = 0;
-    let scenario = staged(cfg.time, &mut generate_ns, || {
-        case.generate(seed, &cfg.profile)
-    });
-    let mut record = run_generated(case, &scenario, cfg);
-    if let Some(timings) = &mut record.timings {
-        timings.generate_ns = generate_ns;
-    }
-    record
-}
-
-/// Runs the full pipeline on an already-generated scenario (callers that
-/// want to display the program first generate once and reuse it here).
-///
-/// The pipeline is artifact-threaded: the scenario is typechecked **once**
-/// and compiled **once**, and the resulting [`CaseStudy::Compiled`] artifact
-/// is borrowed by the model-check stage and then consumed by execution —
-/// no stage recompiles, no stage clones.  Only shrink re-checks (which
-/// examine different, smaller programs) compile again, once per candidate.
-pub fn run_generated<C: CaseStudy>(
-    case: &C,
-    scenario: &Scenario<C::Program, C::Ty>,
-    cfg: &SweepConfig,
-) -> ScenarioRecord {
-    let mut prepared = prepare_generated(case, scenario, cfg);
-    match prepared.ready.take() {
-        None => seal(prepared.record, prepared.timings, cfg.time),
-        Some((compiled, verdict)) => {
-            let mut timings = prepared.timings;
-            let report = staged(cfg.time, &mut timings.run_ns, || {
-                case.execute(compiled, cfg.profile.fuel)
-            });
-            finish_executed(
-                case,
-                scenario,
-                prepared.record,
-                timings,
-                verdict,
-                report,
-                cfg,
-            )
-        }
-    }
+    run_batch(case, &[seed], cfg)
+        .pop()
+        .expect("a batch of one seed yields one record")
 }
 
 /// Runs the full pipeline for a contiguous group of seeds of one case
 /// study, executing the group's compiled artifacts as **one batch** through
-/// [`CaseStudy::execute_batch`] (one reused machine in the case-study
-/// overrides).
+/// [`CaseStudy::execute_batch`] (one reused machine in every case study).
 ///
-/// Every pre-run stage — generate, typecheck, compile, the borrowed model
-/// check — runs per scenario exactly as in [`run_scenario`], and records
-/// come back in seed order with per-scenario statistics split back out, so
-/// the result is digest-identical to running the seeds one at a time; only
-/// machine setup is amortised.  The batch's run wall-clock cannot be
+/// The pipeline is artifact-threaded: every scenario is generated,
+/// typechecked **once** and compiled **once**, and the resulting
+/// [`CaseStudy::Compiled`] artifact is borrowed by the model-check stage and
+/// then consumed by execution — no stage recompiles, no stage clones.  Only
+/// shrink re-checks (which examine different, smaller programs) compile
+/// again, once per candidate.  Records come back in seed order with
+/// per-scenario statistics split back out, so the result is
+/// digest-identical to running the seeds one at a time; only machine setup
+/// is amortised.  The batch's run wall-clock cannot be
 /// observed per scenario (the whole batch executes in one call), so when
 /// the sweep is timed it is apportioned by the machine steps each scenario
 /// consumed — a scenario that dominates the batch is charged its share of
@@ -552,51 +515,16 @@ fn record_glue_stats<C: CaseStudy>(
 }
 
 /// Sweeps one case study over the scenarios a [`ScenarioSource`] supplies
-/// for it, scheduling contiguous [`SweepConfig::batch`]-sized seed groups
-/// as the pool's tasks.
+/// for it: [`sweep_all`] over a one-case slice.
 pub fn sweep_case<C, S>(case: &C, source: &S, cfg: &SweepConfig) -> CaseReport
 where
     C: CaseStudy + Sync,
     S: ScenarioSource + ?Sized,
 {
-    sweep_case_observed(case, source, cfg, None)
-}
-
-/// [`sweep_case`] with an optional [`SweepObserver`]: each worker reports
-/// every finished scenario as it completes (trace events, progress ticks).
-/// Observation is strictly one-way — the returned report is identical to an
-/// unobserved sweep's, digests and counters alike.
-pub fn sweep_case_observed<C, S>(
-    case: &C,
-    source: &S,
-    cfg: &SweepConfig,
-    observer: Option<&SweepObserver>,
-) -> CaseReport
-where
-    C: CaseStudy + Sync,
-    S: ScenarioSource + ?Sized,
-{
-    check_size(source, &[case.name()]);
-    let cfg = cfg.resolved_for(source);
-    check_batch(&cfg);
-    let glue_before = case.glue_cache_stats();
-    let seeds = source.seeds(case.name());
-    let batches: Vec<&[u64]> = seeds.chunks(cfg.batch).collect();
-    let records = parallel_map(&batches, cfg.jobs, |batch| {
-        let records = run_batch(case, batch, &cfg);
-        if let Some(observer) = observer {
-            for record in &records {
-                observer.scenario(case.name(), record, case.glue_cache_stats());
-            }
-        }
-        records
-    });
-    let mut report = CaseReport::new(case.name());
-    for record in records.iter().flatten() {
-        report.absorb(record);
-    }
-    record_glue_stats(case, glue_before, &mut report);
-    report
+    sweep_all(std::slice::from_ref(case), source, cfg)
+        .cases
+        .pop()
+        .expect("a one-case sweep yields one case report")
 }
 
 /// Sweeps several case studies through **one shared pool**: all
@@ -617,9 +545,11 @@ where
     sweep_all_observed(cases, source, cfg, None)
 }
 
-/// [`sweep_all`] with an optional [`SweepObserver`] (see
-/// [`sweep_case_observed`]); the observer sees the interleaved completion
-/// order across all cases, the report is unchanged by observation.
+/// [`sweep_all`] with an optional [`SweepObserver`]: each worker reports
+/// every finished scenario as it completes (trace events, progress ticks),
+/// in the interleaved completion order across all cases.  Observation is
+/// strictly one-way — the returned report is identical to an unobserved
+/// sweep's, digests and counters alike.
 pub fn sweep_all_observed<C, S>(
     cases: &[C],
     source: &S,
@@ -731,9 +661,16 @@ mod tests {
             ..SweepConfig::default()
         };
         let seeds: Vec<u64> = (0..7).collect();
-        let records = run_batch(&case, &seeds, &cfg);
+        let mut records = run_batch(&case, &seeds, &cfg);
         assert_eq!(records.len(), 7);
-        assert!(records.iter().all(|r| r.timings.is_some()));
+        // `semint run`'s path, a batch of one, must time generation too.
+        records.push(run_scenario(&case, 7, &cfg));
+        for record in &records {
+            let timings = record.timings.expect("timed sweeps stamp every record");
+            assert!(timings.generate_ns > 0, "seed {}", record.seed);
+            let staged: u64 = timings.stages().iter().map(|(_, ns)| ns).sum();
+            assert_eq!(timings.total_ns(), staged, "seed {}", record.seed);
+        }
     }
 
     #[test]

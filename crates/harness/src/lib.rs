@@ -77,7 +77,7 @@ pub mod source;
 pub mod trace;
 
 pub use cases::{AnyCase, AnyCompiled};
-pub use engine::{sweep_all, sweep_all_observed, sweep_case, sweep_case_observed, SweepConfig};
+pub use engine::{sweep_all, sweep_all_observed, sweep_case, SweepConfig};
 pub use profile::{render_profile, TraceProfile};
 pub use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 pub use semint_core::stats::{CaseReport, SweepReport};

@@ -118,7 +118,9 @@ mod tests {
         fn compile(&self, _p: &Depth) -> Result<(), String> {
             Ok(())
         }
-        fn execute(&self, _compiled: (), _fuel: Fuel) {}
+        fn execute_batch(&self, batch: Vec<()>, _fuel: Fuel) -> Vec<()> {
+            batch
+        }
         fn stats(&self, _r: &()) -> RunStats {
             RunStats {
                 outcome: OutcomeClass::Value,

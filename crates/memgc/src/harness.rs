@@ -5,7 +5,7 @@ use crate::gen::{MemGcGenConfig, MemGcProgramGen};
 use crate::model::MemGcModelChecker;
 use crate::multilang::MemGcMultiLang;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
-use lcvm::{Expr, RunResult};
+use lcvm::{Expr, Machine, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats};
@@ -161,12 +161,11 @@ impl CaseStudy for MemGcCase {
         self.system.compile_only(program).map_err(|e| e.to_string())
     }
 
-    fn execute(&self, compiled: Expr, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
-    }
-
+    /// Drives the whole batch through **one** LCVM machine, reset in place
+    /// between programs (the continuation stack's grown buffer survives as
+    /// an allocation, never as state).
     fn execute_batch(&self, batch: Vec<Expr>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        Machine::run_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

@@ -9,7 +9,7 @@ use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats, Outcome};
-use stacklang::{Heap, Program, RunResult};
+use stacklang::{Heap, Machine, Program, RunResult};
 
 pub use crate::multilang::SmProgram;
 
@@ -162,12 +162,11 @@ impl CaseStudy for SharedMemCase {
         self.system.compile_only(program).map_err(|e| e.to_string())
     }
 
-    fn execute(&self, compiled: Program, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
-    }
-
+    /// Drives the whole batch through **one** StackLang machine, reset
+    /// between programs (each reset adopts the next program's buffer
+    /// zero-copy; no state survives a reset).
     fn execute_batch(&self, batch: Vec<Program>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        Machine::run_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

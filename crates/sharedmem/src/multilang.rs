@@ -2,17 +2,15 @@
 //!
 //! [`MultiLang`] bundles the three artifacts a language designer produces in
 //! the paper's framework — the convertibility rules (with glue code), the two
-//! compilers, and the common target — behind one entry point.  Since PR 2 the
-//! driver itself is the *shared* [`InteropPipeline`] from `semint-core`
-//! (typecheck → compile-with-glue → run under fuel); this module only
-//! supplies the §3 instantiation ([`SharedMemSystem`]) and the per-language
-//! convenience API.
+//! compilers, and the common target — behind one entry point.  It owns the
+//! rule set and the fuel budget and sequences the stages itself: RefHL/RefLL
+//! typecheck, compile with Fig. 4 glue, and a StackLang run under fuel.
 
 use crate::convert::SharedMemConversions;
 use reflang::compile::{compile_hl, compile_ll, MissingConversion};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use reflang::typecheck::{check_hl, check_ll, TypeCtx, TypeError};
-use semint_core::pipeline::{InteropPipeline, InteropSystem, PipelineError};
+use semint_core::pipeline::PipelineError;
 use semint_core::Fuel;
 use stacklang::{Machine, Program, RunResult};
 use std::fmt;
@@ -66,139 +64,68 @@ impl fmt::Display for SourceType {
     }
 }
 
-/// The §3 instantiation of [`InteropSystem`]: RefHL + RefLL compiled (with
-/// Fig. 4 glue) to StackLang.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMemSystem {
-    conversions: SharedMemConversions,
-}
-
-impl SharedMemSystem {
-    /// A system over the given (memoizing) rule set.
-    pub fn new(conversions: SharedMemConversions) -> Self {
-        SharedMemSystem { conversions }
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &SharedMemConversions {
-        &self.conversions
-    }
-}
-
-impl InteropSystem for SharedMemSystem {
-    type Program = SmProgram;
-    type Ty = SourceType;
-    type Artifact = Program;
-    type TypeError = TypeError;
-    type CompileError = MissingConversion;
-    type Exec = RunResult;
-
-    fn typecheck(&self, program: &SmProgram) -> Result<SourceType, TypeError> {
-        match program {
-            SmProgram::Hl(e) => {
-                check_hl(&TypeCtx::empty(), e, &self.conversions).map(SourceType::Hl)
-            }
-            SmProgram::Ll(e) => {
-                check_ll(&TypeCtx::empty(), e, &self.conversions).map(SourceType::Ll)
-            }
-        }
-    }
-
-    fn compile(&self, program: &SmProgram) -> Result<Program, MissingConversion> {
-        match program {
-            SmProgram::Hl(e) => compile_hl(&TypeCtx::empty(), e, &self.conversions),
-            SmProgram::Ll(e) => compile_ll(&TypeCtx::empty(), e, &self.conversions),
-        }
-    }
-
-    fn execute(&self, artifact: Program, fuel: Fuel) -> RunResult {
-        Machine::run_program(artifact, fuel)
-    }
-
-    /// Drives the whole batch through **one** StackLang machine, reset
-    /// between programs (each reset adopts the next program's buffer
-    /// zero-copy; no state survives a reset), instead of constructing a
-    /// machine per artifact.
-    fn execute_batch(&self, artifacts: Vec<Program>, fuel: Fuel) -> Vec<RunResult> {
-        Machine::run_batch(artifacts, fuel)
-    }
-}
-
 /// The §3 multi-language system: RefHL + RefLL + the Fig. 4 conversions over
-/// StackLang, driven by the shared [`InteropPipeline`].
+/// StackLang.
 #[derive(Debug, Clone, Default)]
 pub struct MultiLang {
-    pipeline: InteropPipeline<SharedMemSystem>,
+    conversions: SharedMemConversions,
+    fuel: Fuel,
 }
 
 impl MultiLang {
     /// A system using the given conversion rule set and the default fuel.
     pub fn new(conversions: SharedMemConversions) -> Self {
         MultiLang {
-            pipeline: InteropPipeline::new(SharedMemSystem::new(conversions)),
+            conversions,
+            fuel: Fuel::default(),
         }
     }
 
     /// Overrides the fuel used by [`MultiLang::run_hl`] / [`MultiLang::run_ll`].
     pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.pipeline = self.pipeline.with_fuel(fuel);
+        self.fuel = fuel;
         self
     }
 
     /// The conversion rule set in use.
     pub fn conversions(&self) -> &SharedMemConversions {
-        self.pipeline.system().conversions()
-    }
-
-    /// The shared pipeline driving this system.
-    pub fn pipeline(&self) -> &InteropPipeline<SharedMemSystem> {
-        &self.pipeline
+        &self.conversions
     }
 
     /// Type checks a closed multi-language program (either host language).
     pub fn typecheck(&self, program: &SmProgram) -> Result<SourceType, TypeError> {
-        self.pipeline.typecheck(program)
+        match program {
+            SmProgram::Hl(e) => self.typecheck_hl(e).map(SourceType::Hl),
+            SmProgram::Ll(e) => self.typecheck_ll(e).map(SourceType::Ll),
+        }
     }
 
     /// Type checks a closed RefHL program.
     pub fn typecheck_hl(&self, e: &HlExpr) -> Result<HlType, TypeError> {
-        check_hl(&TypeCtx::empty(), e, self.conversions())
+        check_hl(&TypeCtx::empty(), e, &self.conversions)
     }
 
     /// Type checks a closed RefLL program.
     pub fn typecheck_ll(&self, e: &LlExpr) -> Result<LlType, TypeError> {
-        check_ll(&TypeCtx::empty(), e, self.conversions())
+        check_ll(&TypeCtx::empty(), e, &self.conversions)
     }
 
     /// Type checks and compiles a closed multi-language program.
     pub fn compile(&self, program: &SmProgram) -> Result<Compiled, MultiLangError> {
-        let compiled = self.pipeline.check_and_compile(program)?;
-        Ok(Compiled {
-            ty: compiled.ty,
-            program: compiled.artifact,
-        })
+        let ty = self.typecheck(program).map_err(PipelineError::Type)?;
+        let program = self.compile_only(program).map_err(PipelineError::Compile)?;
+        Ok(Compiled { ty, program })
     }
 
     /// Compiles a program already known to type check, skipping the
-    /// pipeline's typecheck stage.  This is the sweep engine's entry: it
-    /// re-checks the generator's type claim once up front, so its compile
-    /// stage must not pay for a second typecheck.
+    /// typecheck stage.  This is the sweep engine's entry: it re-checks the
+    /// generator's type claim once up front, so its compile stage must not
+    /// pay for a second typecheck.
     pub fn compile_only(&self, program: &SmProgram) -> Result<Program, MissingConversion> {
-        self.pipeline.system().compile(program)
-    }
-
-    /// Runs an already-compiled StackLang program under an explicit fuel
-    /// budget, consuming the artifact (no clone — the compile-once flow).
-    pub fn execute_with_fuel(&self, program: Program, fuel: Fuel) -> RunResult {
-        self.pipeline.execute_with_fuel(program, fuel)
-    }
-
-    /// Runs a batch of already-compiled StackLang programs under one fuel
-    /// budget through a single reused machine (see
-    /// [`InteropSystem::execute_batch`] on [`SharedMemSystem`]), returning
-    /// results in input order.
-    pub fn execute_batch_with_fuel(&self, programs: Vec<Program>, fuel: Fuel) -> Vec<RunResult> {
-        self.pipeline.execute_batch(programs, fuel)
+        match program {
+            SmProgram::Hl(e) => compile_hl(&TypeCtx::empty(), e, &self.conversions),
+            SmProgram::Ll(e) => compile_ll(&TypeCtx::empty(), e, &self.conversions),
+        }
     }
 
     /// Type checks and compiles a closed RefHL program.
@@ -217,17 +144,18 @@ impl MultiLang {
         program: &SmProgram,
         fuel: Fuel,
     ) -> Result<RunResult, MultiLangError> {
-        self.pipeline.run_with_fuel(program, fuel)
+        let compiled = self.compile(program)?;
+        Ok(Machine::run_program(compiled.program, fuel))
     }
 
     /// Type checks, compiles and runs a closed RefHL program.
     pub fn run_hl(&self, e: &HlExpr) -> Result<RunResult, MultiLangError> {
-        self.pipeline.run(&SmProgram::Hl(e.clone()))
+        self.run_with_fuel(&SmProgram::Hl(e.clone()), self.fuel)
     }
 
     /// Type checks, compiles and runs a closed RefLL program.
     pub fn run_ll(&self, e: &LlExpr) -> Result<RunResult, MultiLangError> {
-        self.pipeline.run(&SmProgram::Ll(e.clone()))
+        self.run_with_fuel(&SmProgram::Ll(e.clone()), self.fuel)
     }
 }
 
@@ -253,6 +181,15 @@ mod tests {
 
         let e = LlExpr::add(LlExpr::int(40), LlExpr::int(2));
         let r = ml().run_ll(&e).unwrap();
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(2 + 40)));
+
+        // A one-step budget cuts the same run short; an explicit budget
+        // overrides the facade's own.
+        let starved = ml().with_fuel(Fuel::steps(1));
+        assert_eq!(starved.run_ll(&e).unwrap().outcome, Outcome::OutOfFuel);
+        let r = starved
+            .run_with_fuel(&SmProgram::Ll(e), Fuel::default())
+            .unwrap();
         assert_eq!(r.outcome, Outcome::Value(Value::Num(2 + 40)));
     }
 

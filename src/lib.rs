@@ -21,10 +21,11 @@
 //!
 //! Each case-study crate implements [`core::case::CaseStudy`] (associated
 //! `Program`/`Ty`/`Report`/`Compiled` types; `generate`, `typecheck`,
-//! `compile`, `execute`, `model_check_compiled`), and the [`harness`] engine
-//! drives any implementation — including all three at once, interleaved on
-//! one thread pool — typechecking and compiling each scenario exactly once
-//! and threading the compiled artifact through every consuming stage:
+//! `compile`, `execute_batch`, `model_check_compiled`), and the [`harness`]
+//! engine drives any implementation — including all three at once,
+//! interleaved on one thread pool — typechecking and compiling each scenario
+//! exactly once and threading the compiled artifact through every consuming
+//! stage:
 //!
 //! ```
 //! use semint::harness::cases::AnyCase;

@@ -149,7 +149,7 @@ proptest! {
 
 /// `AnyCase::execute_batch` unwraps erased artifacts, drives them through
 /// the case study's reused machine, and returns reports in input order —
-/// equal, report for report, to executing one at a time.
+/// one batch of N equal, report for report, to N batches of one.
 #[test]
 fn any_case_batches_match_one_at_a_time_execution() {
     let profile = GenProfile::standard();
@@ -163,13 +163,15 @@ fn any_case_batches_match_one_at_a_time_execution() {
         let singly: Vec<_> = compiled
             .iter()
             .cloned()
-            .map(|artifact| case.stats(&case.execute(artifact, profile.fuel)))
+            .flat_map(|artifact| case.execute_batch(vec![artifact], profile.fuel))
+            .map(|report| case.stats(&report))
             .collect();
         let batched: Vec<_> = case
             .execute_batch(compiled, profile.fuel)
             .iter()
             .map(|report| case.stats(report))
             .collect();
+        assert_eq!(singly.len(), 10, "{}", case.name());
         assert_eq!(batched, singly, "{}", case.name());
     }
 }

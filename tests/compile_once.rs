@@ -77,9 +77,9 @@ impl CaseStudy for CountingCase {
         self.inner.compile(program)
     }
 
-    fn execute(&self, compiled: AnyCompiled, fuel: Fuel) -> AnyReport {
-        self.executes.fetch_add(1, Ordering::SeqCst);
-        self.inner.execute(compiled, fuel)
+    fn execute_batch(&self, batch: Vec<AnyCompiled>, fuel: Fuel) -> Vec<AnyReport> {
+        self.executes.fetch_add(batch.len(), Ordering::SeqCst);
+        self.inner.execute_batch(batch, fuel)
     }
 
     fn stats(&self, report: &AnyReport) -> RunStats {
@@ -152,8 +152,8 @@ fn untimed_sweep_also_compiles_exactly_once_and_skipped_model_check_stays_skippe
 }
 
 // ---------------------------------------------------------------------------
-// The reference runner: the pre-PR per-stage-recompile pipeline, built on
-// the same public trait (`run` and `model_check` compile their own).
+// The reference runner: the per-stage-recompile pipeline, built on the same
+// public trait (the run stage and `model_check` compile their own).
 
 fn recompiling_record(case: &AnyCase, seed: u64, cfg: &SweepConfig) -> ScenarioRecord {
     let scenario = case.generate(seed, &cfg.profile);
@@ -201,8 +201,13 @@ fn recompiling_record(case: &AnyCase, seed: u64, cfg: &SweepConfig) -> ScenarioR
         }
     }
 
-    // Run, compiling internally.
-    match case.run(&scenario.program, cfg.profile.fuel) {
+    // Run, compiling again.
+    let run = case.compile(&scenario.program).map(|compiled| {
+        case.execute_batch(vec![compiled], cfg.profile.fuel)
+            .pop()
+            .expect("one report per artifact")
+    });
+    match run {
         Ok(report) => {
             let stats = case.stats(&report);
             record.stats = Some(stats);
