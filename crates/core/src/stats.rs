@@ -320,6 +320,14 @@ impl CaseReport {
     }
 }
 
+/// The largest seed range a single sweep accepts.  Tasks are materialised
+/// up front (so the pool can deal them round-robin), and this bound keeps
+/// that allocation trivially small while still far exceeding any practical
+/// sweep.  It also bounds what [`SweepReport::from_tsv`] believes of a
+/// saved report's counts, so a corrupt file cannot make it allocate more
+/// than a real sweep would.
+pub const MAX_SEEDS_PER_SWEEP: u64 = 10_000_000;
+
 /// A whole-sweep report: one [`CaseReport`] per case study.
 #[derive(Debug, Clone, Default)]
 pub struct SweepReport {
@@ -386,7 +394,9 @@ impl SweepReport {
     /// Parses the format produced by [`SweepReport::to_tsv`].
     ///
     /// Failure counts are restored as placeholder records (witnesses are not
-    /// serialised), which is enough for `semint report` rendering.
+    /// serialised), which is enough for `semint report` rendering.  Counts no
+    /// sweep can produce (more than [`MAX_SEEDS_PER_SWEEP`] scenarios, or
+    /// more failures than scenarios) are rejected before allocating.
     pub fn from_tsv(text: &str) -> Result<SweepReport, String> {
         let mut report = SweepReport::default();
         for (lineno, line) in text.lines().enumerate() {
@@ -411,7 +421,15 @@ impl SweepReport {
                         .last_mut()
                         .ok_or_else(|| format!("line {}: field before any case", lineno + 1))?;
                     match key {
-                        "scenarios" => case.scenarios = parse(value)?,
+                        "scenarios" => {
+                            case.scenarios = parse(value)?;
+                            if case.scenarios > MAX_SEEDS_PER_SWEEP {
+                                return Err(format!(
+                                    "line {}: more than {MAX_SEEDS_PER_SWEEP} scenarios",
+                                    lineno + 1
+                                ));
+                            }
+                        }
                         "total_steps" => case.total_steps = parse(value)?,
                         "total_boundaries" => case.total_boundaries = parse(value)?,
                         "total_program_chars" => case.total_program_chars = parse(value)?,
@@ -440,7 +458,15 @@ impl SweepReport {
                                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
                         }
                         "failures" => {
-                            for _ in 0..parse(value)? {
+                            let failures = parse(value)?;
+                            if failures > case.scenarios {
+                                return Err(format!(
+                                    "line {}: {failures} failures exceed the {} scenarios",
+                                    lineno + 1,
+                                    case.scenarios
+                                ));
+                            }
+                            for _ in 0..failures {
                                 case.failures.push(FailureRecord {
                                     seed: 0,
                                     stage: FailStage::ModelCheck,
@@ -541,6 +567,22 @@ mod tests {
         assert_eq!(parsed.cases[0].glue_misses, 4);
         assert_eq!(parsed.cases[0].timings, report.cases[0].timings);
         assert_eq!(parsed.cases[0].counters, report.cases[0].counters);
+    }
+
+    #[test]
+    fn tsv_counts_no_sweep_can_produce_are_rejected_before_allocating() {
+        // Trusted, this would allocate a hundred billion placeholder failures.
+        let huge = "case\tm\nscenarios\t1\nfailures\t100000000000\n";
+        let err = SweepReport::from_tsv(huge).unwrap_err();
+        assert_eq!(err, "line 3: 100000000000 failures exceed the 1 scenarios");
+        let over = format!("case\tm\nscenarios\t{}\n", MAX_SEEDS_PER_SWEEP + 1);
+        let err = SweepReport::from_tsv(&over).unwrap_err();
+        assert_eq!(err, "line 2: more than 10000000 scenarios");
+        // The bounds themselves are legal.
+        let at_cap = format!("case\ta\nscenarios\t{MAX_SEEDS_PER_SWEEP}\n");
+        assert!(SweepReport::from_tsv(&at_cap).is_ok());
+        let all_failed = SweepReport::from_tsv("case\tb\nscenarios\t2\nfailures\t2\n");
+        assert_eq!(all_failed.unwrap().cases[0].failures.len(), 2);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
 //! semint sweep --corpus-save pop.corpus             # persist the swept scenario set
 //! semint sweep --corpus-load pop.corpus             # replay it (identical digests)
-//! semint bench --profile deep --repeat 3            # E9/E11 timing mode (per-stage totals)
+//! semint bench --profile deep --save current.tsv    # E9/E11 timing mode; saves settings + report TSV
 //! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
 //! semint profile t.jsonl                            # aggregate trace files offline
-//! semint bench-diff BENCH_7.json current.json       # digest drift / throughput regression gate
+//! semint bench-diff BENCH_8.tsv current.tsv         # digest drift / throughput regression gate
 //! semint report a.tsv b.tsv                         # merge + re-render saved reports
 //! semint serve --workers 4 --log serve.log          # sweep-orchestration daemon (localhost TCP)
 //! semint serve --state-dir state                    # crash-safe daemon: journal + checkpoints
@@ -33,19 +33,16 @@ use semint_harness::cases::AnyCase;
 use semint_harness::engine::{
     parallel_map, run_scenario, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
 };
-use semint_harness::json::{
-    looks_like_bench_json, parse_bench_json, parse_bench_json_with_counter_keys, render_bench_json,
-    BenchMeta,
-};
 use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
-use semint_harness::report::{render_rolling, render_sweep};
+use semint_harness::report::{
+    bench_diff, read_saved, render_bench_meta, render_rolling, render_sweep, BenchMeta,
+};
 use semint_harness::serve::{
     self, ChaosConfig, Daemon, FaultKind, FaultPlan, JobSpec, JobStatus, Request, Response,
     ServeConfig, DEFAULT_PORT,
 };
 use semint_harness::source::{Corpus, ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -60,16 +57,17 @@ USAGE:
                                                       Lemma 3.1 catalogue + model-check a seed range
     semint sweep [--case NAME] [--seeds A..B] [--jobs J] [--save PATH] [options]
                                                       parallel sweep with aggregate statistics
-    semint bench [--case NAME] [--seeds A..B] [--repeat R] [--cold] [--json PATH] [options]
+    semint bench [--case NAME] [--seeds A..B] [--repeat R] [--cold] [--save PATH] [options]
                                                       timed sweep: per-stage wall-clock totals and
                                                       throughput (model check off unless --model-check)
     semint profile TRACE...                           aggregate --trace JSONL files: per-stage totals,
                                                       per-case opcode-class histograms, allocation
                                                       stats, hottest seeds by steps
-    semint bench-diff BASELINE.json CURRENT.json      compare two `bench --json` files; fails on any
-                                                      digest drift or a >25% throughput regression
+    semint bench-diff BASELINE CURRENT                compare two `bench --save` files benched with the
+                                                      same settings; fails on any digest or counter
+                                                      drift or a >25% throughput regression
     semint report PATH...                             render (and, for several PATHs, merge) reports
-                                                      saved by `sweep --save` or `bench --json`;
+                                                      saved by `sweep --save` or `bench --save`;
                                                       sharded sweeps merge into the digests of the
                                                       unsharded sweep
     semint serve  [--port P] [--workers W] [options]  long-running sweep-orchestration daemon: a FIFO
@@ -134,13 +132,11 @@ OPTIONS:
                      glue hit-rate, ETA)
     --repeat R       bench repeats, best-of-R is reported    (default: 3)
     --cold           bench with a cold glue cache per scenario (cache bypassed)
-    --json PATH      save the bench result (per-stage totals, throughput,
-                     digests) as machine-readable JSON; `semint report PATH`
-                     reads it back
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
-    --save PATH      save the sweep report as TSV (for `status --job N`,
-                     save the job's merged report)
+    --save PATH      save the sweep report as TSV (for `bench`, behind a header
+                     of the bench's settings and best wall-clock; for
+                     `status --job N`, save the job's merged report)
 
 SERVE (daemon, submit, status):
     --port P         daemon TCP port on 127.0.0.1                (default: 7844; 0 = ephemeral)
@@ -293,7 +289,6 @@ struct Options {
     repeat: usize,
     cold: bool,
     save: Option<String>,
-    json: Option<String>,
     trace: Option<String>,
     progress: bool,
     // serve / submit / status / chaos
@@ -350,7 +345,6 @@ impl Default for Options {
             repeat: 3,
             cold: false,
             save: None,
-            json: None,
             trace: None,
             progress: false,
             port: DEFAULT_PORT,
@@ -528,7 +522,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--cold" => opts.cold = true,
             "--save" => opts.save = Some(value("--save")?.to_string()),
-            "--json" => opts.json = Some(value("--json")?.to_string()),
             "--trace" => opts.trace = Some(value("--trace")?.to_string()),
             "--progress" => opts.progress = true,
             "--port" => {
@@ -951,19 +944,8 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         cfg.profile = pinned;
     }
     check_sweep_size(&cases, source.as_ref())?;
-    println!(
-        "bench: {} · profile {} · {} repeats · glue cache {} · model check {} · batch {}",
-        source.describe(),
-        cfg.profile,
-        opts.repeat,
-        if opts.cold {
-            "cold per scenario"
-        } else {
-            "shared"
-        },
-        if cfg.model_check { "on" } else { "off" },
-        cfg.batch
-    );
+    // Settings go in the closing summary line; this one says what runs.
+    println!("bench: {} · profile {}", source.describe(), cfg.profile);
     let observer = build_observer(&opts, &cases, source.as_ref(), opts.repeat as u64)?;
     let mut best: Option<(u64, SweepReport)> = None;
     let mut digests_stable = true;
@@ -997,40 +979,19 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         println!("trace saved: {path}");
     }
     let (wall_ns, report) = best.expect("--repeat is at least 1");
-    let scenarios = report.scenarios();
-    for case in &report.cases {
-        println!("case {}", case.case);
-        println!("  scenarios        {:>10}", case.scenarios);
-        if let Some(timings) = &case.timings {
-            println!("  stage wall-clock (best repeat)");
-            for (label, ns) in timings.stages() {
-                println!("    {label:<14} {:>10.3} ms", ns as f64 / 1_000_000.0);
-            }
-            println!(
-                "    {:<14} {:>10.3} ms",
-                "total",
-                timings.total_ns() as f64 / 1_000_000.0
-            );
-        }
-        println!(
-            "  glue cache       {:>10} hits / {} misses ({:.1}% hit rate)",
-            case.glue_hits,
-            case.glue_misses,
-            case.glue_hit_rate() * 100.0
-        );
-        println!("  failures         {:>10}", case.failures.len());
-    }
-    let wall_s = wall_ns as f64 / 1e9;
-    println!(
-        "best wall-clock: {:.3} s ({:.0} scenarios/s across {} scenarios)",
-        wall_s,
-        scenarios as f64 / wall_s.max(1e-9),
-        scenarios
-    );
-    println!(
-        "digests stable across repeats: {}",
-        if digests_stable { "yes" } else { "NO" }
-    );
+    let meta = BenchMeta {
+        profile: cfg.profile.name.to_string(),
+        repeat: opts.repeat,
+        jobs: cfg.jobs,
+        batch: cfg.batch,
+        model_check: cfg.model_check,
+        cold: opts.cold,
+        wall_ns,
+        digests_stable,
+    };
+    // The best repeat, rendered as `semint report` renders its save.
+    print!("{}", render_sweep(&report));
+    println!("{}", render_bench_meta(&meta, report.scenarios()));
     for case in &report.cases {
         println!("digest: {}", case.digest());
     }
@@ -1040,23 +1001,9 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         println!("corpus saved: {path} ({} scenarios)", corpus.len());
     }
     if let Some(path) = &opts.save {
-        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
-    }
-    if let Some(path) = &opts.json {
-        let meta = BenchMeta {
-            profile: cfg.profile.name.to_string(),
-            repeat: opts.repeat,
-            jobs: cfg.jobs,
-            batch: cfg.batch,
-            model_check: cfg.model_check,
-            cold: opts.cold,
-            wall_ns,
-            digests_stable,
-        };
-        std::fs::write(path, render_bench_json(&meta, &report))
+        std::fs::write(path, meta.to_header() + &report.to_tsv())
             .map_err(|e| format!("saving {path}: {e}"))?;
-        println!("json saved: {path}");
+        println!("saved: {path}");
     }
     Ok(report.failure_count() == 0 && digests_stable)
 }
@@ -1128,133 +1075,41 @@ fn cmd_profile(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Largest tolerated `bench-diff` throughput drop relative to the baseline.
-const MAX_THROUGHPUT_REGRESSION: f64 = 0.25;
-
-/// `semint bench-diff`: the CI regression gate over two `bench --json`
-/// documents.  Fails (exit 1) on any per-case digest drift — the sweep is
-/// deterministic, so drift means behaviour changed — or when current
-/// throughput falls more than [`MAX_THROUGHPUT_REGRESSION`] below baseline.
+/// `semint bench-diff`: the CI regression gate over two `bench --save`
+/// files (see [`bench_diff`]).  Exit 1 on drift or a throughput regression,
+/// exit 2 when the files cannot be compared.
 fn cmd_bench_diff(args: &[String]) -> Result<bool, String> {
     let [baseline_path, current_path] = args else {
-        return Err(
-            "`semint bench-diff` needs exactly two paths: BASELINE.json CURRENT.json".into(),
-        );
+        return Err("`semint bench-diff` needs exactly two paths: BASELINE CURRENT".into());
     };
-    let load = |path: &String| -> Result<(BenchMeta, SweepReport, BTreeSet<String>), String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        parse_bench_json_with_counter_keys(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (base_meta, base, base_counter_keys) = load(baseline_path)?;
-    let (current_meta, current, _) = load(current_path)?;
-    let mut clean = true;
-    for base_case in &base.cases {
-        let Some(current_case) = current.cases.iter().find(|c| c.case == base_case.case) else {
-            clean = false;
-            println!("case {}: MISSING from {current_path}", base_case.case);
-            continue;
-        };
-        // Counters are digest-grade facts too, but only the keys the baseline
-        // document actually recorded constrain the current run: a counter
-        // introduced after the baseline was written (or a pre-counter
-        // baseline entirely) reads back as zero and is grandfathered in.
-        let counter_drift = !base_case.counters.is_zero()
-            && base_case.counters.fields().iter().any(|(key, base_value)| {
-                base_counter_keys.contains(*key)
-                    && current_case
-                        .counters
-                        .fields()
-                        .iter()
-                        .any(|(k, current_value)| k == key && current_value != base_value)
-            });
-        if current_case.digest() != base_case.digest() {
-            clean = false;
-            println!(
-                "case {}: DIGEST DRIFT\n  baseline {}\n  current  {}",
-                base_case.case,
-                base_case.digest(),
-                current_case.digest()
-            );
-        } else if counter_drift {
-            clean = false;
-            println!(
-                "case {}: VM COUNTER DRIFT\n  baseline {}\n  current  {}",
-                base_case.case, base_case.counters, current_case.counters
-            );
-        } else {
-            println!(
-                "case {}: digest OK ({})",
-                base_case.case,
-                base_case.digest()
-            );
-        }
-    }
-    for current_case in &current.cases {
-        if !base.cases.iter().any(|c| c.case == current_case.case) {
-            clean = false;
-            println!(
-                "case {}: not in baseline {baseline_path}",
-                current_case.case
-            );
-        }
-    }
-    let base_tp = base_meta.throughput_per_s(base.scenarios());
-    let current_tp = current_meta.throughput_per_s(current.scenarios());
-    let floor = base_tp * (1.0 - MAX_THROUGHPUT_REGRESSION);
-    println!("throughput: baseline {base_tp:.0}/s, current {current_tp:.0}/s (floor {floor:.0}/s)");
-    if current_tp < floor {
-        clean = false;
-        println!(
-            "throughput REGRESSION: more than {:.0}% below baseline",
-            MAX_THROUGHPUT_REGRESSION * 100.0
-        );
-    }
-    println!("bench-diff: {}", if clean { "OK" } else { "FAILED" });
+    let read =
+        |path: &String| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
+    let (text, clean) = bench_diff(
+        (baseline_path, &read(baseline_path)?),
+        (current_path, &read(current_path)?),
+    )?;
+    print!("{text}");
     Ok(clean)
 }
 
 /// `semint report`: render saved sweeps, merging when several are given
-/// (per-shard saves merge into the unsharded digests).  Accepts both the
-/// TSV format of `sweep --save` and the JSON format of `bench --json`.
+/// (per-shard saves merge into the unsharded digests).  Reads the TSV of
+/// `sweep --save` and, header included, of `bench --save`.
 fn cmd_report(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
         return Err("`semint report` needs at least one PATH saved by \
-                    `semint sweep --save` or `semint bench --json`"
+                    `semint sweep --save` or `semint bench --save`"
             .into());
     }
-    let mut merged: Option<SweepReport> = None;
+    let mut report = SweepReport::default();
     for path in args {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let report = if looks_like_bench_json(&text) {
-            let (meta, report) = parse_bench_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "bench: profile {} · {} repeats · jobs {} · batch {} · model check {} · \
-                 glue cache {} · best wall-clock {:.3} s ({:.0} scenarios/s) · \
-                 digests stable: {}",
-                meta.profile,
-                meta.repeat,
-                meta.jobs,
-                meta.batch,
-                if meta.model_check { "on" } else { "off" },
-                if meta.cold {
-                    "cold per scenario"
-                } else {
-                    "shared"
-                },
-                meta.wall_ns as f64 / 1e9,
-                meta.throughput_per_s(report.scenarios()),
-                if meta.digests_stable { "yes" } else { "NO" }
-            );
-            report
-        } else {
-            SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?
-        };
-        match &mut merged {
-            None => merged = Some(report),
-            Some(acc) => acc.merge(&report),
+        let (meta, saved) = read_saved(&text).map_err(|e| format!("{path}: {e}"))?;
+        if let Some(meta) = meta {
+            println!("{}", render_bench_meta(&meta, saved.scenarios()));
         }
+        report.merge(&saved);
     }
-    let report = merged.expect("at least one path");
     print!("{}", render_sweep(&report));
     for case in &report.cases {
         println!("digest: {}", case.digest());
@@ -1702,13 +1557,6 @@ mod tests {
     }
 
     #[test]
-    fn json_flag_parses_and_needs_a_path() {
-        let opts = parse(&["--json", "bench.json"]).unwrap();
-        assert_eq!(opts.json.as_deref(), Some("bench.json"));
-        assert!(parse(&["--json"]).unwrap_err().contains("--json"));
-    }
-
-    #[test]
     fn trace_and_progress_flags_parse() {
         let opts = parse(&[]).unwrap();
         assert!(opts.trace.is_none() && !opts.progress);
@@ -1721,7 +1569,7 @@ mod tests {
     #[test]
     fn bench_diff_needs_exactly_two_paths() {
         assert!(cmd_bench_diff(&[]).unwrap_err().contains("BASELINE"));
-        assert!(cmd_bench_diff(&["one.json".into()])
+        assert!(cmd_bench_diff(&["one.tsv".into()])
             .unwrap_err()
             .contains("exactly two"));
     }

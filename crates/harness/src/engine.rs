@@ -22,6 +22,7 @@ use crate::shrink::shrink_failure;
 use crate::source::ScenarioSource;
 use crate::trace::SweepObserver;
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+pub use semint_core::stats::MAX_SEEDS_PER_SWEEP;
 use semint_core::stats::{
     CaseReport, FailStage, FailureRecord, ScenarioRecord, StageTimings, SweepReport,
 };
@@ -85,12 +86,6 @@ impl SweepConfig {
         }
     }
 }
-
-/// The largest seed range a single sweep accepts.  Tasks are materialised
-/// up front (so the pool can deal them round-robin), and this bound keeps
-/// that allocation trivially small while still far exceeding any practical
-/// sweep.
-pub const MAX_SEEDS_PER_SWEEP: u64 = 10_000_000;
 
 /// Maps `f` over `items` on a work-stealing pool of `jobs` threads,
 /// returning results in input order.

@@ -27,10 +27,11 @@
 //!   them;
 //! * [`report`] — plain-text rendering of sweep reports for the `semint`
 //!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `bench`,
-//!   `report` subcommands);
-//! * [`json`] — the hand-rolled machine-readable bench format behind
-//!   `semint bench --json PATH` (and `semint report`'s ability to read it
-//!   back), for tracking per-stage performance across commits;
+//!   `report` subcommands), plus the one on-disk form of a saved report:
+//!   the report TSV, behind a settings header ([`report::BenchMeta`]) for
+//!   `semint bench --save`, and the `bench-diff` gate over two bench saves;
+//! * [`json`] — the hand-rolled JSON reader and escaping shared by the
+//!   trace stream, the serve wire protocol and the serve journal;
 //! * [`trace`] — Tier-B telemetry: the `--trace` JSONL event stream
 //!   (dedicated writer thread behind a bounded channel) and the
 //!   `--progress` live stderr line, both strictly observational — traced

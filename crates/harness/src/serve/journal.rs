@@ -30,7 +30,7 @@ use std::sync::Mutex;
 
 use super::protocol::{parse_spec, render_spec};
 use super::queue::JobSpec;
-use crate::json::{document_version, escape_json, Reader, FORMAT_VERSION};
+use crate::json::{escape_json, parse_stamped, stamp};
 
 /// The journal's file name inside a `--state-dir`.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -104,13 +104,9 @@ pub enum JournalEvent {
     },
 }
 
-fn header() -> String {
-    format!("{{\"semint_journal\": 1, \"version\": {FORMAT_VERSION}")
-}
-
 /// Renders one event as its one-line journal form (no trailing newline).
 pub fn render_event(event: &JournalEvent) -> String {
-    let mut out = header();
+    let mut out = stamp("semint_journal");
     match event {
         JournalEvent::Submitted { job, spec } => {
             out.push_str(&format!(
@@ -176,20 +172,7 @@ pub fn render_event(event: &JournalEvent) -> String {
 /// Parses one journal line, checking the journal marker and the shared
 /// version field.
 pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
-    let mut reader = Reader::new(line);
-    let doc = reader
-        .value()
-        .map_err(|e| format!("{} ({e})", reader.position()))?;
-    if reader.peek_after_ws().is_some() {
-        return Err("trailing content after journal entry".into());
-    }
-    doc.require("semint_journal")?
-        .as_u64("semint_journal")
-        .and_then(|v| match v {
-            1 => Ok(()),
-            other => Err(format!("unsupported semint_journal format {other}")),
-        })?;
-    document_version(&doc)?;
+    let doc = parse_stamped(line, "semint_journal", "format")?;
     let job = || doc.require("job")?.as_u64("job");
     let shard = || doc.require("shard")?.as_u64("shard");
     let attempt = || doc.require("attempt")?.as_u64("attempt");
@@ -428,6 +411,7 @@ pub fn content_digest(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::FORMAT_VERSION;
 
     fn sample_spec() -> JobSpec {
         JobSpec {

@@ -5,7 +5,7 @@
 //! crate's hand-rolled JSON machinery ([`crate::json`]) rather than pulling
 //! in serde: every message is a single line stamped `"semint_serve": 1` and
 //! the shared `"version"` field ([`crate::json::FORMAT_VERSION`]), parsed
-//! with the same reader the bench format uses — so version-skew handling
+//! with the same reader the serve journal uses — so version-skew handling
 //! (absent = v1, newer-than-me = error) is one code path for both formats.
 //! Clients send one [`Request`] line and read one [`Response`] line; the
 //! connection then closes.
@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use super::queue::{FaultKind, FaultPlan, JobSpec};
-use crate::json::{document_version, escape_json, Json, Reader, FORMAT_VERSION};
+use crate::json::{escape_json, parse_stamped, stamp, Json};
 
 /// Default daemon port (override with `--port`; `0` picks an ephemeral one).
 pub const DEFAULT_PORT: u16 = 7844;
@@ -86,10 +86,6 @@ pub struct JobStatus {
     pub recovered: bool,
 }
 
-fn header() -> String {
-    format!("{{\"semint_serve\": 1, \"version\": {FORMAT_VERSION}")
-}
-
 /// Renders a spec as one JSON object (shared with the journal's
 /// `job-submitted` entries, so both formats evolve together).
 pub(crate) fn render_spec(spec: &JobSpec) -> String {
@@ -151,7 +147,7 @@ fn render_status(status: &JobStatus) -> String {
 
 /// Renders a request as its one-line wire form (no trailing newline).
 pub fn render_request(request: &Request) -> String {
-    let mut out = header();
+    let mut out = stamp("semint_serve");
     match request {
         Request::Ping => out.push_str(", \"request\": \"ping\""),
         Request::Submit(spec) => {
@@ -172,7 +168,7 @@ pub fn render_request(request: &Request) -> String {
 
 /// Renders a response as its one-line wire form (no trailing newline).
 pub fn render_response(response: &Response) -> String {
-    let mut out = header();
+    let mut out = stamp("semint_serve");
     match response {
         Response::Ok => out.push_str(", \"response\": \"ok\""),
         Response::Submitted { job } => {
@@ -199,26 +195,6 @@ pub fn render_response(response: &Response) -> String {
     }
     out.push('}');
     out
-}
-
-/// Parses one wire line into a document, checking the protocol marker and
-/// the shared version field.
-fn parse_envelope(line: &str) -> Result<Json, String> {
-    let mut reader = Reader::new(line);
-    let doc = reader
-        .value()
-        .map_err(|e| format!("{} ({e})", reader.position()))?;
-    if reader.peek_after_ws().is_some() {
-        return Err("trailing content after message".into());
-    }
-    doc.require("semint_serve")?
-        .as_u64("semint_serve")
-        .and_then(|v| match v {
-            1 => Ok(()),
-            other => Err(format!("unsupported semint_serve protocol {other}")),
-        })?;
-    document_version(&doc)?;
-    Ok(doc)
 }
 
 /// Parses one spec object back (shared with the journal's replay).
@@ -283,7 +259,7 @@ fn parse_status(doc: &Json) -> Result<JobStatus, String> {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = parse_envelope(line)?;
+    let doc = parse_stamped(line, "semint_serve", "protocol")?;
     match doc.require("request")?.as_str("request")? {
         "ping" => Ok(Request::Ping),
         "submit" => Ok(Request::Submit(parse_spec(doc.require("job")?)?)),
@@ -300,7 +276,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Parses one response line.
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let doc = parse_envelope(line)?;
+    let doc = parse_stamped(line, "semint_serve", "protocol")?;
     match doc.require("response")?.as_str("response")? {
         "ok" => Ok(Response::Ok),
         "submitted" => Ok(Response::Submitted {
@@ -416,6 +392,7 @@ pub fn call(addr: &str, request: &Request) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::FORMAT_VERSION;
 
     fn sample_spec() -> JobSpec {
         JobSpec {
