@@ -6,12 +6,20 @@
 //! conversion exists.  The §4 instantiations of the Fundamental Property and
 //! the type-safety theorems quantify over all well-typed programs; the test
 //! suites sample that space through this module.
+//!
+//! The generator asks the rule set the caller passes in whether a
+//! boundary's type pair is `derivable`.  A case study passes its own rule set,
+//! so generation warms the glue cache its typechecker and compiler then
+//! read, and each pair is derived once per sweep.  The probes are pure
+//! yes/no queries that consume no randomness, so what is generated never
+//! depends on the cache's state.
 
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::convert::ConversionScheme;
 
 /// Tuning knobs for the §4 generator.
 #[derive(Debug, Clone, Copy)]
@@ -64,17 +72,23 @@ pub struct AffineProgramGen {
 }
 
 impl AffineProgramGen {
-    /// A generator with the default configuration.
+    /// A generator with a fresh standard rule set and default configuration.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, AffineGenConfig::default())
+        Self::with_config(
+            seed,
+            AffineGenConfig::default(),
+            AffineConversions::standard(),
+        )
     }
 
-    /// A generator with an explicit configuration.
-    pub fn with_config(seed: u64, config: AffineGenConfig) -> Self {
+    /// A generator with an explicit configuration that probes
+    /// `conversions` at every boundary (pass the rule set of the system that
+    /// will typecheck and compile the programs; see the module docs).
+    pub fn with_config(seed: u64, config: AffineGenConfig, conversions: AffineConversions) -> Self {
         AffineProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: AffineConversions::standard(),
+            conversions,
             fresh: 0,
         }
     }
@@ -366,7 +380,7 @@ impl AffineProgramGen {
         let candidate = match ty {
             AffiType::Unit => MlType::Unit,
             AffiType::Bool | AffiType::Int => MlType::Int,
-            AffiType::Bang(inner) => return self.ml_type_convertible_to(inner),
+            AffiType::Bang(inner) => self.ml_type_convertible_to(inner)?,
             AffiType::Tensor(a, b) => MlType::prod(
                 self.ml_type_convertible_to(a)?,
                 self.ml_type_convertible_to(b)?,
@@ -377,7 +391,9 @@ impl AffineProgramGen {
             ),
             _ => return None,
         };
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
+        self.conversions
+            .derivable(ty, &candidate)
+            .then_some(candidate)
     }
 
     /// Picks an Affi type convertible with the MiniML goal type, if any
@@ -408,7 +424,9 @@ impl AffineProgramGen {
             }
             _ => return None,
         };
-        self.conversions.derive(&candidate, ty).map(|_| candidate)
+        self.conversions
+            .derivable(&candidate, ty)
+            .then_some(candidate)
     }
 }
 
@@ -478,7 +496,7 @@ mod tests {
             ..AffineGenConfig::default()
         };
         for seed in 0..20 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
             let e = gen.gen_affi(&AffiType::Int);
             assert!(!format!("{e}").contains('⦇'), "unexpected boundary in {e}");
         }
@@ -501,7 +519,7 @@ mod tests {
         let cfg = AffineGenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
@@ -522,7 +540,7 @@ mod tests {
         let sys = AffineMultiLang::new();
         let cfg = AffineGenConfig::from(&GenProfile::deep());
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
             let ty = gen.gen_ml_type(cfg.type_depth);
             let e = gen.gen_ml(&ty);
             let checked = sys
@@ -542,7 +560,7 @@ mod tests {
         };
         let goal = AffiType::lolli(AffiType::Int, AffiType::Int);
         let crossed = (0..20).any(|seed| {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
             format!("{}", gen.gen_affi(&goal)).contains('⦇')
         });
         assert!(crossed, "no seed crossed a boundary at {goal}");

@@ -115,7 +115,11 @@ impl CaseStudy for AffineCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<AffProgram, AffSourceType> {
-        let mut gen = AffineProgramGen::with_config(seed, AffineGenConfig::from(profile));
+        let mut gen = AffineProgramGen::with_config(
+            seed,
+            AffineGenConfig::from(profile),
+            self.system.conversions().clone(),
+        );
         // Every fourth scenario is MiniML-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_ml_type(profile.type_depth);

@@ -215,9 +215,14 @@ pub struct CaseReport {
     /// Total rendered program size (characters) across all scenarios.
     pub total_program_chars: u64,
     /// Glue-cache hits during the sweep (see
-    /// [`crate::convert::GlueCache`]); filled in by the sweep engine.
+    /// [`crate::convert::GlueCache`]); filled in by the sweep engine.  The
+    /// case's generator, typechecker and compiler share the cache, so this
+    /// counts the generator's convertibility probes too.
     pub glue_hits: u64,
-    /// Glue-cache misses (full structural derivations) during the sweep.
+    /// Glue-cache misses (full structural derivations) during the sweep,
+    /// the generator's included: each distinct pair misses once (more only
+    /// when parallel workers race on it), in whichever stage asks first,
+    /// usually generation.
     pub glue_misses: u64,
     /// Aggregated VM counters across all runs: counts add, high-water marks
     /// take the per-scenario maximum (see [`VmCounters::absorb`]), so shard

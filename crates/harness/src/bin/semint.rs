@@ -131,7 +131,8 @@ OPTIONS:
     --progress       rolling stderr progress line (scenarios/s, safe-rate,
                      glue hit-rate, ETA)
     --repeat R       bench repeats, best-of-R is reported    (default: 3)
-    --cold           bench with a cold glue cache per scenario (cache bypassed)
+    --cold           bench with a cold glue cache per scenario: each scenario's
+                     generate, typecheck and compile share a fresh cache
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
     --save PATH      save the sweep report as TSV (for `bench`, behind a header
@@ -925,8 +926,8 @@ fn corrupt_saved_report(path: &str, mode: &str) -> Result<(), String> {
 }
 
 /// `semint bench`: the E9/E11 timing mode — repeated timed sweeps with
-/// per-stage wall-clock totals and throughput, optionally with the glue
-/// cache bypassed (`--cold` builds every scenario's interop system from
+/// per-stage wall-clock totals and throughput, optionally with a cold glue
+/// cache per scenario (`--cold` builds every scenario's case study from
 /// scratch, so no derivation survives between scenarios).
 fn cmd_bench(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
@@ -1009,8 +1010,9 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
 }
 
 /// A sweep in which every scenario gets a freshly built case study — and
-/// therefore a cold glue cache: nothing derived for one scenario is visible
-/// to the next.  This is the "glue cache bypassed" baseline of the E11
+/// therefore a cold glue cache of its own, shared by that scenario's
+/// generate, typecheck and compile stages: nothing derived for one scenario
+/// is visible to the next.  This is the "cold cache" baseline of the E11
 /// experiment; per-sweep cache counters are meaningless here (every
 /// scenario has its own cache) and reported as zero.  `--batch` is ignored
 /// on this path for the same reason: a cold run rebuilds everything per

@@ -137,7 +137,7 @@ pub struct BenchMeta {
     pub batch: usize,
     /// Whether the realizability-model stage ran.
     pub model_check: bool,
-    /// Whether the glue cache was bypassed (`--cold`).
+    /// Whether each scenario had a cold glue cache of its own (`--cold`).
     pub cold: bool,
     /// Best-repeat wall clock in nanoseconds.
     pub wall_ns: u64,

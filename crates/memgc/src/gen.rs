@@ -10,12 +10,20 @@
 //! used directly, or discarded through `drop` at a `Duplicable` type), so
 //! generated programs always pass the algorithmic linear checker in
 //! [`crate::typecheck`].
+//!
+//! The generator asks the rule set the caller passes in whether a
+//! boundary's type pair is `derivable`.  A case study passes its own rule set,
+//! so generation warms the glue cache its typechecker and compiler then
+//! read, and each pair is derived once per sweep.  The probes are pure
+//! yes/no queries that consume no randomness, so what is generated never
+//! depends on the cache's state.
 
 use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::convert::ConversionScheme;
 
 /// Tuning knobs for the §5 generator.
 #[derive(Debug, Clone, Copy)]
@@ -63,17 +71,23 @@ pub struct MemGcProgramGen {
 }
 
 impl MemGcProgramGen {
-    /// A generator with the default configuration.
+    /// A generator with a fresh standard rule set and default configuration.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, MemGcGenConfig::default())
+        Self::with_config(
+            seed,
+            MemGcGenConfig::default(),
+            MemGcConversions::standard(),
+        )
     }
 
-    /// A generator with an explicit configuration.
-    pub fn with_config(seed: u64, config: MemGcGenConfig) -> Self {
+    /// A generator with an explicit configuration that probes
+    /// `conversions` at every boundary (pass the rule set of the system that
+    /// will typecheck and compile the programs; see the module docs).
+    pub fn with_config(seed: u64, config: MemGcGenConfig, conversions: MemGcConversions) -> Self {
         MemGcProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: MemGcConversions::standard(),
+            conversions,
             fresh: 0,
         }
     }
@@ -240,9 +254,13 @@ impl MemGcProgramGen {
             // Foreign types have no MiniML introduction forms: the only
             // constructor is a boundary around an L3 value (the free
             // `Duplicable` embedding). Goal types only ever contain
-            // `⟨bool⟩`, so the embedded term is a closed boolean.
+            // `⟨bool⟩`, so the embedded term is a closed boolean. The rule
+            // set is asked like at every other boundary, so the glue is
+            // derived into the shared cache here, not later by the checker.
             PolyType::Foreign(l3) => {
-                let inner = (**l3).clone();
+                let inner = self
+                    .convertible_l3_for(ty)
+                    .unwrap_or_else(|| (**l3).clone());
                 PolyExpr::boundary(self.l3(&inner, d), ty.clone())
             }
             // Not produced by `gen_ml_type`; keep totality for callers that
@@ -350,7 +368,9 @@ impl MemGcProgramGen {
             }
             _ => None,
         }?;
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
+        self.conversions
+            .derivable(ty, &candidate)
+            .then_some(candidate)
     }
 
     /// Picks a MiniML type convertible with `ty`, if the §5 rules have one.
@@ -368,7 +388,9 @@ impl MemGcProgramGen {
                 None => None,
             },
         }?;
-        self.conversions.derive(&candidate, ty).map(|_| candidate)
+        self.conversions
+            .derivable(&candidate, ty)
+            .then_some(candidate)
     }
 }
 
@@ -464,7 +486,7 @@ mod tests {
         let cfg = MemGcGenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = MemGcProgramGen::with_config(seed, cfg);
+            let mut gen = MemGcProgramGen::with_config(seed, cfg, MemGcConversions::standard());
             let ty = gen.gen_goal_ml_type();
             max_depth_seen = max_depth_seen.max(ml_type_depth(&ty));
             let e = gen.gen_ml(&ty);
@@ -487,7 +509,7 @@ mod tests {
             ..MemGcGenConfig::default()
         };
         for seed in 0..20 {
-            let mut gen = MemGcProgramGen::with_config(seed, cfg);
+            let mut gen = MemGcProgramGen::with_config(seed, cfg, MemGcConversions::standard());
             let ty = gen.gen_ml_type(1);
             if has_foreign(&ty) {
                 continue;

@@ -132,7 +132,11 @@ impl CaseStudy for MemGcCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<MgProgram, MgSourceType> {
-        let mut gen = MemGcProgramGen::with_config(seed, MemGcGenConfig::from(profile));
+        let mut gen = MemGcProgramGen::with_config(
+            seed,
+            MemGcGenConfig::from(profile),
+            self.system.conversions().clone(),
+        );
         // Every fourth scenario is L3-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_l3_type(profile.type_depth);

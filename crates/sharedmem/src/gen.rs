@@ -6,12 +6,20 @@
 //! type-directed: [`ProgramGen::gen_hl`] produces a RefHL expression of a requested type,
 //! [`ProgramGen::gen_ll`] a RefLL expression, and both freely insert boundaries at
 //! convertible types so the generated programs exercise the glue code.
+//!
+//! The generator asks the rule set the caller passes in whether a
+//! boundary's type pair is `derivable`.  A case study passes its own rule set,
+//! so generation warms the glue cache its typechecker and compiler then
+//! read, and each pair is derived once per sweep.  The probes are pure
+//! yes/no queries that consume no randomness, so what is generated never
+//! depends on the cache's state.
 
 use crate::convert::SharedMemConversions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::convert::ConversionScheme;
 
 /// Tuning knobs for the generator.
 #[derive(Debug, Clone, Copy)]
@@ -59,17 +67,19 @@ pub struct ProgramGen {
 }
 
 impl ProgramGen {
-    /// A generator with the standard conversions and default configuration.
+    /// A generator with a fresh standard rule set and default configuration.
     pub fn new(seed: u64) -> Self {
-        ProgramGen::with_config(seed, GenConfig::default())
+        ProgramGen::with_config(seed, GenConfig::default(), SharedMemConversions::standard())
     }
 
-    /// A generator with an explicit configuration.
-    pub fn with_config(seed: u64, config: GenConfig) -> Self {
+    /// A generator with an explicit configuration that probes
+    /// `conversions` at every boundary (pass the rule set of the system that
+    /// will typecheck and compile the programs; see the module docs).
+    pub fn with_config(seed: u64, config: GenConfig, conversions: SharedMemConversions) -> Self {
         ProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: SharedMemConversions::standard(),
+            conversions,
         }
     }
 
@@ -284,10 +294,12 @@ impl ProgramGen {
     /// The candidate is built structurally (recursing into products, sums
     /// and references) so boundaries appear under *deep* compound types,
     /// not just at the depth-≤-2 pairs the original generator handled; the
-    /// final `derive` call remains the source of truth.
+    /// rule set's `derivable` answer remains the source of truth.
     fn convertible_ll_for(&mut self, ty: &HlType) -> Option<LlType> {
         let candidate = ll_candidate_for(ty)?;
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
+        self.conversions
+            .derivable(ty, &candidate)
+            .then_some(candidate)
     }
 
     /// Picks a RefHL type convertible with `ty`, if the rule set has one.
@@ -327,7 +339,7 @@ impl ProgramGen {
         };
         candidates
             .into_iter()
-            .find(|hl| self.conversions.derive(hl, ty).is_some())
+            .find(|hl| self.conversions.derivable(hl, ty))
     }
 }
 
@@ -417,7 +429,7 @@ mod tests {
             ..GenConfig::default()
         };
         for seed in 0..20 {
-            let mut gen = ProgramGen::with_config(seed, cfg);
+            let mut gen = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
             let e = gen.gen_hl(&HlType::Bool);
             assert!(!format!("{e}").contains('⦇'), "no boundaries expected: {e}");
         }
@@ -440,7 +452,7 @@ mod tests {
         let cfg = GenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = ProgramGen::with_config(seed, cfg);
+            let mut gen = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
@@ -467,7 +479,7 @@ mod tests {
             boundary_bias: 100,
             ..GenConfig::default()
         };
-        let mut gen = ProgramGen::with_config(11, cfg);
+        let mut gen = ProgramGen::with_config(11, cfg, SharedMemConversions::standard());
         let e = gen.gen_hl(&ty);
         assert!(
             format!("{e}").contains('⦇'),

@@ -132,7 +132,11 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<SmProgram, SourceType> {
-        let mut gen = ProgramGen::with_config(seed, GenConfig::from(profile));
+        let mut gen = ProgramGen::with_config(
+            seed,
+            GenConfig::from(profile),
+            self.system.conversions().clone(),
+        );
         // Every fourth scenario is RefLL-hosted so both directions of the
         // boundary get swept.
         if seed % 4 == 3 {

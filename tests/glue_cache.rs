@@ -1,13 +1,17 @@
 //! Properties of the shared conversion layer (PR 2): memoized glue
 //! derivation must be **observably identical** to cold derivation for deep
-//! compound types in all three case studies, and the generic
+//! compound types in all three case studies, the generic
 //! [`ConvertibilityRegistry`] must look up flipped/symmetric rules
-//! coherently.
+//! coherently, and each case's generator must share the case's cache
+//! without its programs depending on what the cache holds.
 
 use proptest::prelude::*;
 use semint::affine::convert::AffineConversions;
 use semint::affine::{AffiType, MlType};
+use semint::core::case::GenProfile;
 use semint::core::convert::{ConversionPair, ConvertibilityRegistry};
+use semint::harness::cases::AnyCase;
+use semint::harness::CaseStudy;
 use semint::memgc::convert::MemGcConversions;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
@@ -168,4 +172,72 @@ fn affine_out_of_order_subderivations_agree_with_cold() {
     let cold_result = AffineConversions::standard().derive(&affi, &ml);
     assert_eq!(warm_result, cold_result);
     assert!(warm_result.is_some());
+}
+
+/// Generators answer their convertibility probes from the case's shared
+/// glue cache, but what they generate must not depend on the cache's state:
+/// scenarios from one case whose cache warms seed after seed equal those
+/// from a fresh case per seed.  This is what keeps shard order, `--jobs`
+/// and `--cold` from changing a scenario.
+#[test]
+fn generation_does_not_depend_on_glue_cache_state() {
+    for profile in [GenProfile::deep(), GenProfile::boundary_heavy()] {
+        for warming in AnyCase::all(false) {
+            let name = warming.name();
+            for seed in 0..200 {
+                let warm = warming.generate(seed, &profile);
+                warming
+                    .typecheck(&warm.program)
+                    .and_then(|_| warming.compile(&warm.program))
+                    .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+                let fresh = AnyCase::by_name(name, false).expect("known case");
+                let cold = fresh.generate(seed, &profile);
+                assert_eq!(
+                    (warm.program.to_string(), warm.ty.to_string()),
+                    (cold.program.to_string(), cold.ty.to_string()),
+                    "{name} seed {seed} under the {} profile",
+                    profile.name
+                );
+            }
+        }
+    }
+}
+
+/// Generation derives the glue of every boundary it inserts into the case's
+/// own cache, so typechecking and compiling the scenario afterwards derive
+/// nothing: each glue pair is derived once per sweep, not once per stage.
+#[test]
+fn typecheck_and_compile_hit_the_pairs_generation_derived() {
+    for profile in [GenProfile::deep(), GenProfile::boundary_heavy()] {
+        for name in AnyCase::NAMES {
+            let mut with_boundaries = 0;
+            for seed in 0..100 {
+                let case = AnyCase::by_name(name, false).expect("known case");
+                let scenario = case.generate(seed, &profile);
+                if case.boundary_count(&scenario.program) == 0 {
+                    continue;
+                }
+                with_boundaries += 1;
+                let after_generate = case.glue_cache_stats().expect("cached rule set");
+                assert!(
+                    after_generate.misses > 0,
+                    "{name} seed {seed}: nothing derived"
+                );
+                case.typecheck(&scenario.program)
+                    .and_then(|_| case.compile(&scenario.program))
+                    .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+                let delta = case
+                    .glue_cache_stats()
+                    .expect("cached rule set")
+                    .since(&after_generate);
+                assert_eq!(delta.misses, 0, "{name} seed {seed}: {delta:?}");
+                assert!(delta.hits > 0, "{name} seed {seed}: no glue looked up");
+            }
+            assert!(
+                with_boundaries > 0,
+                "{name}: no {} scenario has a boundary",
+                profile.name
+            );
+        }
+    }
 }

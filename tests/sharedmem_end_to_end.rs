@@ -162,7 +162,7 @@ proptest! {
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
         let sys = system();
         let checker = ModelChecker::default();
-        let mut generator = ProgramGen::with_config(seed, GenConfig { max_depth: 4, boundary_bias: 30, ..GenConfig::default() });
+        let mut generator = ProgramGen::with_config(seed, GenConfig { max_depth: 4, boundary_bias: 30, ..GenConfig::default() }, sys.conversions().clone());
         let ty = generator.gen_hl_type(1);
         let program = generator.gen_hl(&ty);
         let compiled = sys.compile_hl(&program).expect("compiles");
@@ -178,7 +178,7 @@ proptest! {
     #[test]
     fn conversion_strategy_is_unobservable_without_boundaries(seed in any::<u64>()) {
         let cfg = GenConfig { max_depth: 4, boundary_bias: 0, ..GenConfig::default() };
-        let mut g1 = ProgramGen::with_config(seed, cfg);
+        let mut g1 = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
         let ty = g1.gen_hl_type(2);
         let program = g1.gen_hl(&ty);
         let share = MultiLang::new(SharedMemConversions::standard());
