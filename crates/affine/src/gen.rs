@@ -13,81 +13,50 @@
 //! read, and each pair is derived once per sweep.  The probes are pure
 //! yes/no queries that consume no randomness, so what is generated never
 //! depends on the cache's state.
+//!
+//! What to generate is set by one [`GenProfile`]: its goal-type depth,
+//! expression depth, boundary bias and constructor weights (its fuel belongs
+//! to the run stage).
+//! The one choice no profile sets is the static versus the dynamic arrow
+//! for an affine function, which every population splits evenly
+//! (`STATIC_ARROW_BIAS`).
 
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::case::{ConstructorClass, GenProfile};
 use semint_core::convert::ConversionScheme;
 
-/// Tuning knobs for the §4 generator.
-#[derive(Debug, Clone, Copy)]
-pub struct AffineGenConfig {
-    /// Maximum expression depth.
-    pub max_depth: usize,
-    /// Maximum goal-type depth.
-    pub type_depth: usize,
-    /// Probability (0–100) of crossing a boundary when a conversion exists.
-    pub boundary_bias: u32,
-    /// Probability (0–100) of choosing the static arrow over the dynamic one
-    /// when introducing an affine function.
-    pub static_bias: u32,
-    /// Constructor-class weights for goal-type generation.
-    pub weights: ConstructorWeights,
-}
-
-impl Default for AffineGenConfig {
-    fn default() -> Self {
-        AffineGenConfig {
-            max_depth: 4,
-            type_depth: 2,
-            boundary_bias: 35,
-            static_bias: 50,
-            weights: ConstructorWeights::STANDARD,
-        }
-    }
-}
-
-impl From<&GenProfile> for AffineGenConfig {
-    fn from(profile: &GenProfile) -> Self {
-        AffineGenConfig {
-            max_depth: profile.max_depth,
-            type_depth: profile.type_depth,
-            boundary_bias: profile.boundary_bias,
-            static_bias: 50,
-            weights: profile.weights,
-        }
-    }
-}
+/// Probability (0–100) of choosing the static arrow over the dynamic one
+/// when the generator introduces an affine function.  Every population
+/// splits the two evenly, so this is not a profile knob.
+const STATIC_ARROW_BIAS: u32 = 50;
 
 /// A deterministic, seed-driven generator of closed well-typed Affi and
 /// MiniML programs.
 #[derive(Debug)]
 pub struct AffineProgramGen {
     rng: StdRng,
-    config: AffineGenConfig,
+    profile: GenProfile,
     conversions: AffineConversions,
     fresh: u64,
 }
 
 impl AffineProgramGen {
-    /// A generator with a fresh standard rule set and default configuration.
+    /// A generator with a fresh standard rule set and the standard profile.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(
-            seed,
-            AffineGenConfig::default(),
-            AffineConversions::standard(),
-        )
+        Self::with_config(seed, GenProfile::standard(), AffineConversions::standard())
     }
 
-    /// A generator with an explicit configuration that probes
-    /// `conversions` at every boundary (pass the rule set of the system that
-    /// will typecheck and compile the programs; see the module docs).
-    pub fn with_config(seed: u64, config: AffineGenConfig, conversions: AffineConversions) -> Self {
+    /// A generator that follows `profile`'s depth, boundary-bias and
+    /// weight knobs and probes `conversions` at every boundary (pass the
+    /// rule set of the system that will typecheck and compile the programs;
+    /// see the module docs).
+    pub fn with_config(seed: u64, profile: GenProfile, conversions: AffineConversions) -> Self {
         AffineProgramGen {
             rng: StdRng::seed_from_u64(seed),
-            config,
+            profile,
             conversions,
             fresh: 0,
         }
@@ -100,7 +69,7 @@ impl AffineProgramGen {
     }
 
     /// Generates a random Affi goal type, drawing constructor classes from
-    /// the configured weights: base types (`leaf`), tensors and dynamic
+    /// the profile's weights: base types (`leaf`), tensors and dynamic
     /// lollis (`branch`, so deep pairs *and functions* sit under glue), and
     /// `!` wrappers (`wrap`).
     pub fn gen_affi_type(&mut self, depth: usize) -> AffiType {
@@ -127,9 +96,9 @@ impl AffineProgramGen {
         }
     }
 
-    /// A goal type at the configured type depth.
+    /// A goal type at the profile's type depth.
     pub fn gen_goal_affi_type(&mut self) -> AffiType {
-        self.gen_affi_type(self.config.type_depth)
+        self.gen_affi_type(self.profile.type_depth)
     }
 
     /// Generates a random MiniML goal type of bounded size (for the
@@ -160,22 +129,22 @@ impl AffineProgramGen {
     }
 
     fn pick_class(&mut self) -> ConstructorClass {
-        let total = self.config.weights.total().max(1);
-        self.config.weights.class_for(self.rng.gen_range(0..total))
+        let total = self.profile.weights.total().max(1);
+        self.profile.weights.class_for(self.rng.gen_range(0..total))
     }
 
     /// Generates a closed, well-typed Affi expression of type `ty`.
     pub fn gen_affi(&mut self, ty: &AffiType) -> AffiExpr {
-        self.affi(ty, self.config.max_depth)
+        self.affi(ty, self.profile.max_depth)
     }
 
     /// Generates a closed, well-typed MiniML expression of type `ty`.
     pub fn gen_ml(&mut self, ty: &MlType) -> MlExpr {
-        self.ml(ty, self.config.max_depth)
+        self.ml(ty, self.profile.max_depth)
     }
 
     fn boundary_here(&mut self) -> bool {
-        self.rng.gen_range(0u32..100) < self.config.boundary_bias
+        self.rng.gen_range(0u32..100) < self.profile.boundary_bias
     }
 
     fn affi(&mut self, ty: &AffiType, depth: usize) -> AffiExpr {
@@ -195,7 +164,7 @@ impl AffineProgramGen {
             1 => {
                 let name = self.fresh_name("a");
                 let arg = self.affi(ty, depth - 1);
-                if self.rng.gen_range(0u32..100) < self.config.static_bias {
+                if self.rng.gen_range(0u32..100) < STATIC_ARROW_BIAS {
                     AffiExpr::app(
                         AffiExpr::lam_static(
                             name.as_str(),
@@ -490,13 +459,13 @@ mod tests {
 
     #[test]
     fn boundary_bias_zero_keeps_programs_single_language() {
-        let cfg = AffineGenConfig {
-            max_depth: 4,
+        let profile = GenProfile {
             boundary_bias: 0,
-            ..AffineGenConfig::default()
+            ..GenProfile::standard()
         };
         for seed in 0..20 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
+            let mut gen =
+                AffineProgramGen::with_config(seed, profile, AffineConversions::standard());
             let e = gen.gen_affi(&AffiType::Int);
             assert!(!format!("{e}").contains('⦇'), "unexpected boundary in {e}");
         }
@@ -514,12 +483,14 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        use semint_core::case::GenProfile;
         let sys = AffineMultiLang::new();
-        let cfg = AffineGenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
+            let mut gen = AffineProgramGen::with_config(
+                seed,
+                GenProfile::deep(),
+                AffineConversions::standard(),
+            );
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
@@ -536,12 +507,12 @@ mod tests {
 
     #[test]
     fn deep_ml_goal_types_typecheck_too() {
-        use semint_core::case::GenProfile;
         let sys = AffineMultiLang::new();
-        let cfg = AffineGenConfig::from(&GenProfile::deep());
+        let profile = GenProfile::deep();
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
-            let ty = gen.gen_ml_type(cfg.type_depth);
+            let mut gen =
+                AffineProgramGen::with_config(seed, profile, AffineConversions::standard());
+            let ty = gen.gen_ml_type(profile.type_depth);
             let e = gen.gen_ml(&ty);
             let checked = sys
                 .typecheck_ml(&e)
@@ -554,13 +525,14 @@ mod tests {
     fn dynamic_lolli_goals_can_cross_the_boundary() {
         // 𝜏 ⊸ 𝜏 ∼ (unit → τ) → τ is derivable, so bias 100 must produce a
         // boundary at a lolli goal type for some seed.
-        let cfg = AffineGenConfig {
+        let profile = GenProfile {
             boundary_bias: 100,
-            ..AffineGenConfig::default()
+            ..GenProfile::standard()
         };
         let goal = AffiType::lolli(AffiType::Int, AffiType::Int);
         let crossed = (0..20).any(|seed| {
-            let mut gen = AffineProgramGen::with_config(seed, cfg, AffineConversions::standard());
+            let mut gen =
+                AffineProgramGen::with_config(seed, profile, AffineConversions::standard());
             format!("{}", gen.gen_affi(&goal)).contains('⦇')
         });
         assert!(crossed, "no seed crossed a boundary at {goal}");

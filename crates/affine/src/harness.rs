@@ -2,7 +2,7 @@
 //! interoperability), consumed by the `semint-harness` engine.
 
 use crate::compile::CompileOutput;
-use crate::gen::{AffineGenConfig, AffineProgramGen};
+use crate::gen::AffineProgramGen;
 use crate::model::{AffineModelChecker, AffineSemType};
 use crate::multilang::AffineMultiLang;
 use crate::syntax::{AffiType, MlType};
@@ -115,11 +115,8 @@ impl CaseStudy for AffineCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<AffProgram, AffSourceType> {
-        let mut gen = AffineProgramGen::with_config(
-            seed,
-            AffineGenConfig::from(profile),
-            self.system.conversions().clone(),
-        );
+        let mut gen =
+            AffineProgramGen::with_config(seed, *profile, self.system.conversions().clone());
         // Every fourth scenario is MiniML-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_ml_type(profile.type_depth);

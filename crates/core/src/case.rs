@@ -126,6 +126,14 @@ pub struct GenProfile {
 }
 
 impl GenProfile {
+    /// The largest goal-type depth [`GenProfile::validate`] accepts.  Under
+    /// branch-heavy weights a goal type can have 2^depth leaves, so
+    /// generation time grows exponentially in this knob: with weights
+    /// `0,1,0`, one seed takes a fraction of a second at depth 12, seconds
+    /// at depth 16, and more than a minute at depth 18.  The presets stop
+    /// at 4.
+    pub const MAX_TYPE_DEPTH: usize = 12;
+
     /// The four preset names, in the order `semint --help` lists them.
     pub const PRESET_NAMES: [&'static str; 4] = ["smoke", "default", "deep", "boundary-heavy"];
 
@@ -208,6 +216,14 @@ impl GenProfile {
     pub fn validate(&self) -> Result<(), String> {
         if self.type_depth == 0 {
             return Err("type depth must be at least 1".into());
+        }
+        if self.type_depth > GenProfile::MAX_TYPE_DEPTH {
+            return Err(format!(
+                "type depth {} is above the maximum of {} \
+                 (goal types grow exponentially with depth)",
+                self.type_depth,
+                GenProfile::MAX_TYPE_DEPTH
+            ));
         }
         if self.max_depth == 0 {
             return Err("expression depth must be at least 1".into());
@@ -461,6 +477,14 @@ mod tests {
         let mut p = GenProfile::standard();
         p.type_depth = 0;
         assert!(p.validate().unwrap_err().contains("type depth"));
+        p.type_depth = GenProfile::MAX_TYPE_DEPTH;
+        assert!(p.validate().is_ok(), "the cap itself is allowed");
+        p.type_depth = GenProfile::MAX_TYPE_DEPTH + 1;
+        let err = p.validate().unwrap_err();
+        assert!(
+            err.contains("type depth 13") && err.contains("maximum of 12"),
+            "{err}"
+        );
         let mut p = GenProfile::standard();
         p.max_depth = 0;
         assert!(p.validate().unwrap_err().contains("expression depth"));

@@ -1,14 +1,14 @@
-//! The convertibility judgment `τA ∼ τB` and its registry.
+//! The convertibility judgment `τA ∼ τB` and its memoized derivation.
 //!
 //! Paper §2.2: the designer of an interoperability system must *explicitly*
 //! declare which pairs of source types are interconvertible, and provide
-//! target-level glue code witnessing each direction.  The judgment is
-//! deliberately **declarative and extensible** — new conversions can be added
-//! later by implementers or end users — so we model it as a runtime registry
-//! rather than a closed inductive definition.
+//! target-level glue code witnessing each direction.  Each case study
+//! declares its rules as a [`ConversionScheme`]: a structural derivation
+//! mirroring the paper's inference rules (Fig. 4, Fig. 9), memoized per type
+//! pair through a [`GlueCache`].
 //!
-//! The registry is generic over the two source type representations and over
-//! the representation of glue code (a `stacklang` program for case study 1, an
+//! Both are generic over the two source type representations and over the
+//! representation of glue code (a `stacklang` program for case study 1, an
 //! `lcvm` expression-to-expression wrapper for case studies 2 and 3).
 
 use std::collections::HashMap;
@@ -32,81 +32,6 @@ impl<G> ConversionPair<G> {
     /// Creates a conversion pair from its two directions.
     pub fn new(a_to_b: G, b_to_a: G) -> Self {
         ConversionPair { a_to_b, b_to_a }
-    }
-
-    /// Swaps the two directions (useful when looking a rule up "backwards").
-    pub fn flipped(self) -> ConversionPair<G> {
-        ConversionPair {
-            a_to_b: self.b_to_a,
-            b_to_a: self.a_to_b,
-        }
-    }
-}
-
-/// A registry of convertibility rules `τA ∼ τB` with their glue code.
-///
-/// Lookups are *structural* on the type pair: rules for compound types (e.g.
-/// `τ1 + τ2 ∼ [int]`) are typically registered by the case-study crates via a
-/// derivation function that recursively consults the registry, mirroring the
-/// inference-rule presentation in the paper (Fig. 4, Fig. 9).
-#[derive(Debug, Clone)]
-pub struct ConvertibilityRegistry<TA, TB, G> {
-    rules: HashMap<(TA, TB), ConversionPair<G>>,
-}
-
-impl<TA, TB, G> Default for ConvertibilityRegistry<TA, TB, G>
-where
-    TA: Eq + Hash + Clone,
-    TB: Eq + Hash + Clone,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<TA, TB, G> ConvertibilityRegistry<TA, TB, G>
-where
-    TA: Eq + Hash + Clone,
-    TB: Eq + Hash + Clone,
-{
-    /// Creates an empty registry (no types are convertible).
-    pub fn new() -> Self {
-        ConvertibilityRegistry {
-            rules: HashMap::new(),
-        }
-    }
-
-    /// Declares `a ∼ b`, witnessed by `glue`.
-    ///
-    /// Returns the previously-registered pair for this type pair, if any, so
-    /// callers can detect (and decide how to handle) redefinition.
-    pub fn register(&mut self, a: TA, b: TB, glue: ConversionPair<G>) -> Option<ConversionPair<G>> {
-        self.rules.insert((a, b), glue)
-    }
-
-    /// Is `a ∼ b` declared?
-    pub fn convertible(&self, a: &TA, b: &TB) -> bool {
-        self.rules.contains_key(&(a.clone(), b.clone()))
-    }
-
-    /// The glue pair registered for `a ∼ b`, if any.
-    pub fn conversion(&self, a: &TA, b: &TB) -> Option<&ConversionPair<G>> {
-        self.rules.get(&(a.clone(), b.clone()))
-    }
-
-    /// Number of registered rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when no rules are registered.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Iterates over all registered rules.
-    pub fn iter(&self) -> impl Iterator<Item = (&(TA, TB), &ConversionPair<G>)> {
-        self.rules.iter()
     }
 }
 
@@ -368,46 +293,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_registry_rejects_everything() {
-        let reg: ConvertibilityRegistry<&str, &str, ()> = ConvertibilityRegistry::new();
-        assert!(reg.is_empty());
-        assert!(!reg.convertible(&"bool", &"int"));
-        assert!(reg.conversion(&"bool", &"int").is_none());
-    }
-
-    #[test]
-    fn registered_rules_are_found() {
-        let mut reg = ConvertibilityRegistry::new();
-        reg.register("bool", "int", ConversionPair::new("noop", "noop"));
-        reg.register("sum", "array", ConversionPair::new("tagenc", "tagdec"));
-        assert_eq!(reg.len(), 2);
-        assert!(reg.convertible(&"bool", &"int"));
-        assert_eq!(reg.conversion(&"sum", &"array").unwrap().a_to_b, "tagenc");
-        assert!(
-            !reg.convertible(&"int", &"bool"),
-            "registry is directional on the pair key"
-        );
-    }
-
-    #[test]
-    fn reregistration_returns_old_pair() {
-        let mut reg = ConvertibilityRegistry::new();
-        assert!(reg.register("a", "b", ConversionPair::new(1, 2)).is_none());
-        let old = reg.register("a", "b", ConversionPair::new(3, 4)).unwrap();
-        assert_eq!(old, ConversionPair::new(1, 2));
-        assert_eq!(
-            reg.conversion(&"a", &"b").unwrap(),
-            &ConversionPair::new(3, 4)
-        );
-    }
-
-    #[test]
-    fn flipping_swaps_directions() {
-        let p = ConversionPair::new("fwd", "bwd");
-        assert_eq!(p.flipped(), ConversionPair::new("bwd", "fwd"));
-    }
 
     #[test]
     fn glue_cache_memoizes_hits_and_refutations() {

@@ -8,8 +8,6 @@
 //! semint sweep --seeds 0..200 --jobs 4              # parallel sweep, aggregate report
 //! semint sweep --profile deep                       # deep-type population (glue cache on the hot path)
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
-//! semint sweep --corpus-save pop.corpus             # persist the swept scenario set
-//! semint sweep --corpus-load pop.corpus             # replay it (identical digests)
 //! semint bench --profile deep --save current.tsv    # E9/E11 timing mode; saves settings + report TSV
 //! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
 //! semint profile t.jsonl                            # aggregate trace files offline
@@ -41,7 +39,7 @@ use semint_harness::serve::{
     self, ChaosConfig, Daemon, FaultKind, FaultPlan, JobSpec, JobStatus, Request, Response,
     ServeConfig, DEFAULT_PORT,
 };
-use semint_harness::source::{Corpus, ScenarioSource, SeedRange, Shard};
+use semint_harness::source::{ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,15 +93,15 @@ SCENARIO SUPPLY:
     --shard K/N      take the K-th of N deterministic slices of the seed range;
                      the N shards are disjoint, cover the range, and their saved
                      reports merge (`semint report`) into the unsharded digests
-    --corpus-load PATH  replay a persisted scenario corpus (pins the profile it
-                     was saved with; excludes --seeds/--shard)
-    --corpus-save PATH  persist the swept scenario set as a corpus
+    The seeds plus the generation profile below name the whole scenario
+    population: generation is deterministic in (case, seed, profile), and
+    the first line a sweep prints spells out both.
 
 GENERATION PROFILE:
     --profile NAME   smoke | default | deep | boundary-heavy (default: default)
                      deep generates source types of depth >= 4, putting
                      compound-glue derivation on the sweep's critical path
-    --type-depth D   max source-type depth                   (overrides profile)
+    --type-depth D   max source-type depth, 1-12             (overrides profile)
     --depth D        max expression depth                    (overrides profile)
     --boundary-bias P  boundary probability 0-100            (overrides profile)
     --weights L,B,W  leaf,branch,wrap constructor weights    (overrides profile)
@@ -273,11 +271,7 @@ fn unknown_command(given: &str) -> String {
 struct Options {
     case: String,
     range: (u64, u64),
-    /// Whether `--seeds` was given explicitly (a corpus replay rejects it).
-    range_set: bool,
     shard: Option<(u64, u64)>,
-    corpus_load: Option<String>,
-    corpus_save: Option<String>,
     seed: Option<u64>,
     jobs: usize,
     batch: usize,
@@ -332,10 +326,7 @@ impl Default for Options {
         Options {
             case: "all".into(),
             range: (0, 100),
-            range_set: false,
             shard: None,
-            corpus_load: None,
-            corpus_save: None,
             seed: None,
             jobs: 4,
             batch: 1,
@@ -404,7 +395,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     ));
                 }
                 opts.range = (start, end);
-                opts.range_set = true;
             }
             "--shard" => {
                 let spec = value("--shard")?;
@@ -423,8 +413,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.shard = Some((index, of));
             }
-            "--corpus-load" => opts.corpus_load = Some(value("--corpus-load")?.to_string()),
-            "--corpus-save" => opts.corpus_save = Some(value("--corpus-save")?.to_string()),
             "--seed" => {
                 opts.seed = Some(
                     value("--seed")?
@@ -628,15 +616,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`; try `semint help`")),
         }
     }
-    if opts.corpus_load.is_some()
-        && (opts.shard.is_some() || opts.range_set || profile_name.is_some())
-    {
-        return Err(
-            "--corpus-load replays the corpus's own scenario set and profile; \
-             it cannot be combined with --seeds, --shard or --profile"
-                .into(),
-        );
-    }
     let mut profile = match &profile_name {
         Some(name) => GenProfile::by_name(name).expect("validated above"),
         None => GenProfile::standard(),
@@ -687,12 +666,9 @@ fn selected_cases(opts: &Options) -> Result<Vec<AnyCase>, String> {
     }
 }
 
-/// Builds the scenario source the options describe: a corpus, a shard of
-/// the seed range, or the plain range.
+/// Builds the scenario source the options describe: a shard of the seed
+/// range, or the plain range.
 fn build_source(opts: &Options) -> Result<Box<dyn ScenarioSource>, String> {
-    if let Some(path) = &opts.corpus_load {
-        return Ok(Box::new(Corpus::load(path)?));
-    }
     let range = SeedRange::new(opts.range.0, opts.range.1).map_err(|e| format!("--seeds: {e}"))?;
     match opts.shard {
         Some((index, of)) => Ok(Box::new(
@@ -704,8 +680,7 @@ fn build_source(opts: &Options) -> Result<Box<dyn ScenarioSource>, String> {
 
 /// The friendly version of the engine's sweep-size assert: the per-range
 /// check in `parse_options` cannot see the case count, so a range below
-/// `MAX_SEEDS_PER_SWEEP` can still exceed it once multiplied across cases
-/// (or a loaded corpus can simply be huge).
+/// `MAX_SEEDS_PER_SWEEP` can still exceed it once multiplied across cases.
 fn check_sweep_size(cases: &[AnyCase], source: &dyn ScenarioSource) -> Result<(), String> {
     let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     let total = source.total(&names);
@@ -729,12 +704,6 @@ fn sweep_config(opts: &Options, model_check_default: bool) -> SweepConfig {
         time: opts.time,
         batch: opts.batch,
     }
-}
-
-/// The profile a sweep over `source` actually generates with (a corpus pins
-/// its own).
-fn effective_profile(source: &dyn ScenarioSource, cfg: &SweepConfig) -> GenProfile {
-    source.pinned_profile().unwrap_or(cfg.profile)
 }
 
 /// Builds the `--trace`/`--progress` observer when either flag was given.
@@ -872,11 +841,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         cfg.time = true;
     }
     check_sweep_size(&cases, source.as_ref())?;
-    println!(
-        "sweep: {} · profile {}",
-        source.describe(),
-        effective_profile(source.as_ref(), &cfg)
-    );
+    println!("sweep: {} · profile {}", source.describe(), cfg.profile);
     let observer = build_observer(&opts, &cases, source.as_ref(), 1)?;
     let report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
     finish_observer(observer)?;
@@ -886,11 +851,6 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     print!("{}", render_sweep(&report));
     for case in &report.cases {
         println!("digest: {}", case.digest());
-    }
-    if let Some(path) = &opts.corpus_save {
-        let corpus = Corpus::record(&cases, source.as_ref(), cfg.profile)?;
-        corpus.save(path)?;
-        println!("corpus saved: {path} ({} scenarios)", corpus.len());
     }
     if let Some(path) = &opts.save {
         std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
@@ -940,9 +900,6 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
     // whatever `--batch` was given.
     if opts.cold {
         cfg.batch = 1;
-    }
-    if let Some(pinned) = source.pinned_profile() {
-        cfg.profile = pinned;
     }
     check_sweep_size(&cases, source.as_ref())?;
     // Settings go in the closing summary line; this one says what runs.
@@ -995,11 +952,6 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
     println!("{}", render_bench_meta(&meta, report.scenarios()));
     for case in &report.cases {
         println!("digest: {}", case.digest());
-    }
-    if let Some(path) = &opts.corpus_save {
-        let corpus = Corpus::record(&cases, source.as_ref(), cfg.profile)?;
-        corpus.save(path)?;
-        println!("corpus saved: {path} ({} scenarios)", corpus.len());
     }
     if let Some(path) = &opts.save {
         std::fs::write(path, meta.to_header() + &report.to_tsv())
@@ -1191,9 +1143,6 @@ fn cmd_submit(args: &[String]) -> Result<bool, String> {
     if opts.shard.is_some() {
         return Err("the daemon shards jobs itself; use --shards N instead of --shard K/N".into());
     }
-    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
-        return Err("corpus replay/persistence is not supported for serve jobs".into());
-    }
     if opts.broken {
         return Err("--broken is not supported for serve jobs".into());
     }
@@ -1336,9 +1285,6 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
     }
     if opts.shard.is_some() {
         return Err("chaos shards its jobs itself; use --shards N instead of --shard K/N".into());
-    }
-    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
-        return Err("corpus replay/persistence is not supported for chaos jobs".into());
     }
     if opts.broken {
         return Err("--broken is not supported for chaos jobs".into());
@@ -1497,6 +1443,13 @@ mod tests {
         assert!(err.contains("fuel"), "{err}");
         let err = parse(&["--type-depth", "0"]).unwrap_err();
         assert!(err.contains("type depth"), "{err}");
+        // A usage error, so exit status 2, never a clamp to the cap.
+        let err = parse(&["--type-depth", "13"]).unwrap_err();
+        assert!(err.contains("maximum of 12"), "{err}");
+        assert_eq!(
+            parse(&["--type-depth", "12"]).unwrap().profile.type_depth,
+            12
+        );
         let err = parse(&["--weights", "0,0,0"]).unwrap_err();
         assert!(err.contains("weights"), "{err}");
         let err = parse(&["--weights", "1,2"]).unwrap_err();
@@ -1514,19 +1467,6 @@ mod tests {
             .unwrap_err()
             .contains("at least 1"));
         assert!(parse(&["--shard", "nonsense"]).unwrap_err().contains("K/N"));
-    }
-
-    #[test]
-    fn corpus_load_excludes_seeds_shard_and_profile() {
-        let err = parse(&["--corpus-load", "x.corpus", "--shard", "0/2"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = parse(&["--corpus-load", "x.corpus", "--profile", "deep"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = parse(&["--corpus-load", "x.corpus", "--seeds", "0..10"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        // Knob overrides without --profile are also meaningless with a
-        // corpus, but harmless: the pinned profile wins inside the engine.
-        assert!(parse(&["--corpus-load", "x.corpus"]).is_ok());
     }
 
     #[test]
@@ -1696,8 +1636,6 @@ mod tests {
         assert!(err.contains("preset"), "{err}");
         let err = cmd_chaos(&["--shard".into(), "0/2".into()]).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
-        let err = cmd_chaos(&["--corpus-load".into(), "x.corpus".into()]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
         let err = cmd_chaos(&["--broken".into()]).unwrap_err();
         assert!(err.contains("--broken"), "{err}");
         // Sweep refuses --corrupt-save with nothing to corrupt.
@@ -1738,8 +1676,6 @@ mod tests {
         assert!(err.contains("preset"), "{err}");
         let err = cmd_submit(&["--shard".into(), "0/2".into()]).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
-        let err = cmd_submit(&["--corpus-load".into(), "x.corpus".into()]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
         let err = cmd_submit(&["--broken".into()]).unwrap_err();
         assert!(err.contains("--broken"), "{err}");
         let err = cmd_submit(&["--fault-shard".into(), "1".into()]).unwrap_err();

@@ -30,15 +30,16 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Configuration for one sweep.  *What* to sweep is no longer in here — the
-/// workload is supplied by a [`ScenarioSource`] (a seed range, a shard of
-/// one, or a persisted corpus); this struct carries only the *how*.
+/// Configuration for one sweep.  The seeds come from a [`ScenarioSource`]
+/// (a seed range or a shard of one); the population they name is fixed by
+/// this struct's one [`GenProfile`], since generation is deterministic in
+/// `(case, seed, profile)`.  Everything else here is *how* to sweep, which
+/// never changes a digest.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
     /// Worker threads; clamped to the task count and to at least 1.
     pub jobs: usize,
-    /// The generation profile (superseded by the source's pinned profile,
-    /// if it has one — corpora replay the profile they were saved with).
+    /// The generation profile every scenario of the sweep is generated with.
     pub profile: GenProfile,
     /// Whether to run the realizability-model check on every scenario (the
     /// expensive stage; `run`-only sweeps skip it).
@@ -72,17 +73,6 @@ impl Default for SweepConfig {
             model_check: true,
             time: false,
             batch: 1,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The configuration a sweep over `source` actually runs with: the
-    /// source's pinned profile wins over the configured one.
-    fn resolved_for(&self, source: &(impl ScenarioSource + ?Sized)) -> SweepConfig {
-        match source.pinned_profile() {
-            Some(profile) => SweepConfig { profile, ..*self },
-            None => *self,
         }
     }
 }
@@ -557,8 +547,7 @@ where
 {
     let case_names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     check_size(source, &case_names);
-    let cfg = cfg.resolved_for(source);
-    check_batch(&cfg);
+    check_batch(cfg);
     let glue_before: Vec<_> = cases.iter().map(|case| case.glue_cache_stats()).collect();
     let per_case_seeds: Vec<Vec<u64>> =
         cases.iter().map(|case| source.seeds(case.name())).collect();
@@ -568,7 +557,7 @@ where
         .flat_map(|(idx, seeds)| seeds.chunks(cfg.batch).map(move |batch| (idx, batch)))
         .collect();
     let records = parallel_map(&tasks, cfg.jobs, |&(idx, batch)| {
-        let records = run_batch(&cases[idx], batch, &cfg);
+        let records = run_batch(&cases[idx], batch, cfg);
         if let Some(observer) = observer {
             for record in &records {
                 observer.scenario(cases[idx].name(), record, cases[idx].glue_cache_stats());

@@ -9,10 +9,9 @@
 //! generic on top of that trait:
 //!
 //! * [`source`] — the [`source::ScenarioSource`] abstraction over *where a
-//!   sweep's workload comes from*: a seed range, a deterministic k-of-n
-//!   [`source::Shard`] of one (sweeps compose across processes), or a
-//!   persisted, replayable [`source::Corpus`] with its generation profile
-//!   pinned;
+//!   sweep's seeds come from*: a seed range or a deterministic k-of-n
+//!   [`source::Shard`] of one (sweeps compose across processes); with the
+//!   sweep's one [`GenProfile`] it names the whole scenario population;
 //! * [`engine`] — a parallel batch runner with deterministic per-task seed
 //!   splitting and a work-stealing thread pool (std threads + mutex deques,
 //!   no external dependencies), producing the shared
@@ -83,5 +82,5 @@ pub use profile::{render_profile, TraceProfile};
 pub use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 pub use semint_core::stats::{CaseReport, SweepReport};
 pub use serve::{Daemon, ServeConfig};
-pub use source::{Corpus, ScenarioSource, SeedRange, Shard};
+pub use source::{ScenarioSource, SeedRange, Shard};
 pub use trace::SweepObserver;

@@ -8,18 +8,14 @@
 //! * [`SeedRange`] — the classic half-open range, generated on the fly;
 //! * [`Shard`] — a deterministic k-of-n partition of a range, so one sweep
 //!   composes across processes (per-shard reports merge into the digests
-//!   of the unsharded sweep);
-//! * [`Corpus`] — a persisted, replayable scenario set with its generation
-//!   profile pinned, saved and loaded through a hand-rolled line format
-//!   (the workspace deliberately vendors no serde).
+//!   of the unsharded sweep).
 //!
-//! Generation is deterministic in `(case, seed, profile)`, so a corpus
-//! needs to persist only those coordinates to reproduce a sweep — and its
-//! digest — bit for bit.
+//! Generation is deterministic in `(case, seed, profile)`, so a source plus
+//! one [`GenProfile`] (carried by the engine's `SweepConfig`) names a
+//! sweep's whole population, and reproduces it — and its digest — bit for
+//! bit.  The `sweep:` line `semint sweep` prints first spells out both.
 
-use semint_core::case::{CaseStudy, ConstructorWeights, GenProfile};
-use semint_core::Fuel;
-use std::path::Path;
+use semint_core::case::GenProfile;
 
 /// A supplier of scenario seeds for each case study in a sweep.
 ///
@@ -30,10 +26,11 @@ pub trait ScenarioSource {
     /// The ordered seeds this source supplies for the named case study.
     fn seeds(&self, case: &str) -> Vec<u64>;
 
-    /// The generation profile this source pins, if any.  A [`Corpus`]
-    /// replays the profile it was saved with, overriding the sweep's
-    /// configured profile so a reloaded corpus reproduces the identical
-    /// digest no matter how the surrounding sweep is configured.
+    /// The generation profile this source pins, if any.  No source pins
+    /// one: the sweep's configured profile always applies, and the engine
+    /// never consults this.  It is kept, with its `None` default and no
+    /// overrides, only because the benchmark (`perfbench/src/replica.rs`)
+    /// asserts that its sources pin nothing.
     fn pinned_profile(&self) -> Option<GenProfile> {
         None
     }
@@ -179,244 +176,6 @@ impl ScenarioSource for Shard {
     }
 }
 
-/// One persisted scenario coordinate: deterministic generation means
-/// `(case, seed)` plus the corpus's pinned profile reproduces the program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusEntry {
-    /// The case study the scenario belongs to.
-    pub case: String,
-    /// The generation seed.
-    pub seed: u64,
-}
-
-/// A persisted, replayable scenario set with its generation profile pinned.
-///
-/// The on-disk format is a hand-rolled, line-oriented text format (the
-/// workspace vendors no serde): a version header, one `profile` line
-/// carrying every knob, then one `scenario⟨TAB⟩case⟨TAB⟩seed` line per
-/// entry.  [`Corpus::from_text`] validates the profile knobs on load, so a
-/// hand-edited corpus with (say) a 250% boundary bias is rejected with a
-/// friendly error instead of silently clamped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Corpus {
-    profile: GenProfile,
-    entries: Vec<CorpusEntry>,
-}
-
-/// The header line identifying the corpus format.
-const CORPUS_HEADER: &str = "# semint corpus v1";
-
-impl Corpus {
-    /// An empty corpus pinning `profile`.
-    pub fn new(profile: GenProfile) -> Result<Corpus, String> {
-        profile.validate()?;
-        Ok(Corpus {
-            profile,
-            entries: Vec::new(),
-        })
-    }
-
-    /// Records the exact scenario set `source` supplies for `cases` under
-    /// `profile` — the corpus a sweep over that source would execute.
-    pub fn record<C: CaseStudy>(
-        cases: &[C],
-        source: &dyn ScenarioSource,
-        profile: GenProfile,
-    ) -> Result<Corpus, String> {
-        let mut corpus = Corpus::new(source.pinned_profile().unwrap_or(profile))?;
-        for case in cases {
-            for seed in source.seeds(case.name()) {
-                corpus.entries.push(CorpusEntry {
-                    case: case.name().to_string(),
-                    seed,
-                });
-            }
-        }
-        Ok(corpus)
-    }
-
-    /// The pinned generation profile.
-    pub fn profile(&self) -> GenProfile {
-        self.profile
-    }
-
-    /// The persisted entries, in sweep order.
-    pub fn entries(&self) -> &[CorpusEntry] {
-        &self.entries
-    }
-
-    /// Number of persisted scenarios.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the corpus holds no scenarios.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serializes the corpus to the line format documented on the type.
-    pub fn to_text(&self) -> String {
-        let fuel = match self.profile.fuel.remaining() {
-            Some(steps) => steps.to_string(),
-            None => "unlimited".into(),
-        };
-        let mut out = format!(
-            "{CORPUS_HEADER}\nprofile\tname={}\ttype-depth={}\tdepth={}\tboundary-bias={}\t\
-             weights={},{},{}\tfuel={}\n",
-            self.profile.name,
-            self.profile.type_depth,
-            self.profile.max_depth,
-            self.profile.boundary_bias,
-            self.profile.weights.leaf,
-            self.profile.weights.branch,
-            self.profile.weights.wrap,
-            fuel,
-        );
-        for entry in &self.entries {
-            out.push_str(&format!("scenario\t{}\t{}\n", entry.case, entry.seed));
-        }
-        out
-    }
-
-    /// Parses the format produced by [`Corpus::to_text`], validating every
-    /// profile knob.
-    pub fn from_text(text: &str) -> Result<Corpus, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("corpus file is empty")?;
-        if header.trim_end() != CORPUS_HEADER {
-            return Err(format!(
-                "not a semint corpus: expected header `{CORPUS_HEADER}`, found `{header}`"
-            ));
-        }
-        let mut profile: Option<GenProfile> = None;
-        let mut entries = Vec::new();
-        for (lineno, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut fields = line.split('\t');
-            let key = fields.next().unwrap_or_default();
-            match key {
-                "profile" => profile = Some(parse_profile_line(fields, lineno + 1)?),
-                "scenario" => {
-                    let case = fields
-                        .next()
-                        .ok_or_else(|| format!("line {}: scenario needs a case", lineno + 1))?;
-                    let seed = fields
-                        .next()
-                        .ok_or_else(|| format!("line {}: scenario needs a seed", lineno + 1))?
-                        .parse::<u64>()
-                        .map_err(|e| format!("line {}: bad seed: {e}", lineno + 1))?;
-                    entries.push(CorpusEntry {
-                        case: case.to_string(),
-                        seed,
-                    });
-                }
-                other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
-            }
-        }
-        let profile = profile.ok_or("corpus has no profile line")?;
-        profile
-            .validate()
-            .map_err(|e| format!("corpus profile invalid: {e}"))?;
-        Ok(Corpus { profile, entries })
-    }
-
-    /// Writes the corpus to `path`.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_text())
-            .map_err(|e| format!("saving corpus {}: {e}", path.display()))
-    }
-
-    /// Reads a corpus from `path`.
-    pub fn load(path: impl AsRef<Path>) -> Result<Corpus, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading corpus {}: {e}", path.display()))?;
-        Corpus::from_text(&text).map_err(|e| format!("corpus {}: {e}", path.display()))
-    }
-}
-
-/// Parses the tab-separated `key=value` fields of a `profile` line.
-fn parse_profile_line<'a>(
-    fields: impl Iterator<Item = &'a str>,
-    lineno: usize,
-) -> Result<GenProfile, String> {
-    let mut profile = GenProfile::standard();
-    for field in fields {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: profile field `{field}` is not key=value"))?;
-        let parse_num = |v: &str| -> Result<u64, String> {
-            v.parse::<u64>()
-                .map_err(|e| format!("line {lineno}: {key}: {e}"))
-        };
-        match key {
-            // Preset names round-trip; anything else was already a
-            // customized profile, whose knobs follow.
-            "name" => {
-                if let Some(preset) = GenProfile::by_name(value) {
-                    profile = preset;
-                } else {
-                    profile.name = "custom";
-                }
-            }
-            "type-depth" => profile.type_depth = parse_num(value)? as usize,
-            "depth" => profile.max_depth = parse_num(value)? as usize,
-            "boundary-bias" => profile.boundary_bias = parse_num(value)? as u32,
-            "weights" => {
-                let mut parts = value.split(',');
-                let mut next = |what: &str| -> Result<u32, String> {
-                    parts
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: weights missing {what}"))?
-                        .parse::<u32>()
-                        .map_err(|e| format!("line {lineno}: weights {what}: {e}"))
-                };
-                profile.weights = ConstructorWeights {
-                    leaf: next("leaf")?,
-                    branch: next("branch")?,
-                    wrap: next("wrap")?,
-                };
-            }
-            "fuel" => {
-                profile.fuel = if value == "unlimited" {
-                    Fuel::unlimited()
-                } else {
-                    Fuel::steps(parse_num(value)?)
-                };
-            }
-            other => return Err(format!("line {lineno}: unknown profile knob {other:?}")),
-        }
-    }
-    Ok(profile)
-}
-
-impl ScenarioSource for Corpus {
-    fn seeds(&self, case: &str) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.case == case)
-            .map(|e| e.seed)
-            .collect()
-    }
-
-    fn pinned_profile(&self) -> Option<GenProfile> {
-        Some(self.profile)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "corpus of {} scenarios (profile {})",
-            self.entries.len(),
-            self.profile.name
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,52 +236,5 @@ mod tests {
         assert!(Shard::new(range, 2, 2)
             .unwrap_err()
             .contains("out of range"));
-    }
-
-    #[test]
-    fn corpus_round_trips_through_its_text_format() {
-        let mut profile = GenProfile::deep();
-        profile.boundary_bias = 60;
-        profile.name = "custom";
-        let mut corpus = Corpus::new(profile).unwrap();
-        corpus.entries.push(CorpusEntry {
-            case: "sharedmem".into(),
-            seed: 17,
-        });
-        corpus.entries.push(CorpusEntry {
-            case: "memgc".into(),
-            seed: 3,
-        });
-        let parsed = Corpus::from_text(&corpus.to_text()).unwrap();
-        assert_eq!(parsed, corpus);
-        assert_eq!(parsed.pinned_profile().unwrap().boundary_bias, 60);
-        assert_eq!(parsed.seeds("sharedmem"), vec![17]);
-        assert_eq!(parsed.seeds("affine"), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn corpus_load_rejects_garbage_and_invalid_knobs() {
-        assert!(Corpus::from_text("not a corpus")
-            .unwrap_err()
-            .contains("header"));
-        let bad_bias = format!("{CORPUS_HEADER}\nprofile\tboundary-bias=250\n");
-        assert!(Corpus::from_text(&bad_bias).unwrap_err().contains("0-100"));
-        let no_profile = format!("{CORPUS_HEADER}\nscenario\taffine\t4\n");
-        assert!(Corpus::from_text(&no_profile)
-            .unwrap_err()
-            .contains("no profile"));
-        let bad_key = format!("{CORPUS_HEADER}\nprofile\tname=smoke\nnonsense\t1\n");
-        assert!(Corpus::from_text(&bad_key)
-            .unwrap_err()
-            .contains("unknown key"));
-    }
-
-    #[test]
-    fn unlimited_fuel_round_trips() {
-        let mut profile = GenProfile::smoke();
-        profile.fuel = Fuel::unlimited();
-        let corpus = Corpus::new(profile).unwrap();
-        let parsed = Corpus::from_text(&corpus.to_text()).unwrap();
-        assert_eq!(parsed.profile().fuel, Fuel::unlimited());
     }
 }

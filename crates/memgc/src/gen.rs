@@ -17,76 +17,42 @@
 //! read, and each pair is derived once per sweep.  The probes are pure
 //! yes/no queries that consume no randomness, so what is generated never
 //! depends on the cache's state.
+//!
+//! What to generate is set by one [`GenProfile`]: its goal-type depth,
+//! expression depth, boundary bias and constructor weights (its fuel belongs
+//! to the run stage).
 
 use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::case::{ConstructorClass, GenProfile};
 use semint_core::convert::ConversionScheme;
-
-/// Tuning knobs for the §5 generator.
-#[derive(Debug, Clone, Copy)]
-pub struct MemGcGenConfig {
-    /// Maximum expression depth.
-    pub max_depth: usize,
-    /// Maximum goal-type depth.
-    pub type_depth: usize,
-    /// Probability (0–100) of crossing a boundary when a conversion exists.
-    pub boundary_bias: u32,
-    /// Constructor-class weights for goal-type generation.
-    pub weights: ConstructorWeights,
-}
-
-impl Default for MemGcGenConfig {
-    fn default() -> Self {
-        MemGcGenConfig {
-            max_depth: 4,
-            type_depth: 2,
-            boundary_bias: 35,
-            weights: ConstructorWeights::STANDARD,
-        }
-    }
-}
-
-impl From<&GenProfile> for MemGcGenConfig {
-    fn from(profile: &GenProfile) -> Self {
-        MemGcGenConfig {
-            max_depth: profile.max_depth,
-            type_depth: profile.type_depth,
-            boundary_bias: profile.boundary_bias,
-            weights: profile.weights,
-        }
-    }
-}
 
 /// A deterministic, seed-driven generator of closed well-typed MiniML and L3
 /// programs.
 #[derive(Debug)]
 pub struct MemGcProgramGen {
     rng: StdRng,
-    config: MemGcGenConfig,
+    profile: GenProfile,
     conversions: MemGcConversions,
     fresh: u64,
 }
 
 impl MemGcProgramGen {
-    /// A generator with a fresh standard rule set and default configuration.
+    /// A generator with a fresh standard rule set and the standard profile.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(
-            seed,
-            MemGcGenConfig::default(),
-            MemGcConversions::standard(),
-        )
+        Self::with_config(seed, GenProfile::standard(), MemGcConversions::standard())
     }
 
-    /// A generator with an explicit configuration that probes
-    /// `conversions` at every boundary (pass the rule set of the system that
-    /// will typecheck and compile the programs; see the module docs).
-    pub fn with_config(seed: u64, config: MemGcGenConfig, conversions: MemGcConversions) -> Self {
+    /// A generator that follows `profile`'s depth, boundary-bias and
+    /// weight knobs and probes `conversions` at every boundary (pass the
+    /// rule set of the system that will typecheck and compile the programs;
+    /// see the module docs).
+    pub fn with_config(seed: u64, profile: GenProfile, conversions: MemGcConversions) -> Self {
         MemGcProgramGen {
             rng: StdRng::seed_from_u64(seed),
-            config,
+            profile,
             conversions,
             fresh: 0,
         }
@@ -99,7 +65,7 @@ impl MemGcProgramGen {
     }
 
     /// Generates a random monomorphic MiniML type of bounded size, drawing
-    /// constructor classes from the configured weights so branch-heavy
+    /// constructor classes from the profile's weights so branch-heavy
     /// profiles reach their full type-depth budget.
     pub fn gen_ml_type(&mut self, depth: usize) -> PolyType {
         if depth == 0 {
@@ -126,9 +92,9 @@ impl MemGcProgramGen {
         }
     }
 
-    /// A MiniML goal type at the configured type depth.
+    /// A MiniML goal type at the profile's type depth.
     pub fn gen_goal_ml_type(&mut self) -> PolyType {
-        self.gen_ml_type(self.config.type_depth)
+        self.gen_ml_type(self.profile.type_depth)
     }
 
     /// Generates a random L3 type of bounded size (goal types stay in the
@@ -163,22 +129,22 @@ impl MemGcProgramGen {
     }
 
     fn pick_class(&mut self) -> ConstructorClass {
-        let total = self.config.weights.total().max(1);
-        self.config.weights.class_for(self.rng.gen_range(0..total))
+        let total = self.profile.weights.total().max(1);
+        self.profile.weights.class_for(self.rng.gen_range(0..total))
     }
 
     /// Generates a closed, well-typed MiniML expression of type `ty`.
     pub fn gen_ml(&mut self, ty: &PolyType) -> PolyExpr {
-        self.ml(ty, self.config.max_depth)
+        self.ml(ty, self.profile.max_depth)
     }
 
     /// Generates a closed, well-typed L3 expression of type `ty`.
     pub fn gen_l3(&mut self, ty: &L3Type) -> L3Expr {
-        self.l3(ty, self.config.max_depth)
+        self.l3(ty, self.profile.max_depth)
     }
 
     fn boundary_here(&mut self) -> bool {
-        self.rng.gen_range(0u32..100) < self.config.boundary_bias
+        self.rng.gen_range(0u32..100) < self.profile.boundary_bias
     }
 
     fn ml(&mut self, ty: &PolyType, depth: usize) -> PolyExpr {
@@ -481,12 +447,14 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        use semint_core::case::GenProfile;
         let sys = MemGcMultiLang::new();
-        let cfg = MemGcGenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = MemGcProgramGen::with_config(seed, cfg, MemGcConversions::standard());
+            let mut gen = MemGcProgramGen::with_config(
+                seed,
+                GenProfile::deep(),
+                MemGcConversions::standard(),
+            );
             let ty = gen.gen_goal_ml_type();
             max_depth_seen = max_depth_seen.max(ml_type_depth(&ty));
             let e = gen.gen_ml(&ty);
@@ -503,13 +471,12 @@ mod tests {
 
     #[test]
     fn boundary_bias_zero_generates_single_language_programs() {
-        let cfg = MemGcGenConfig {
-            max_depth: 4,
+        let profile = GenProfile {
             boundary_bias: 0,
-            ..MemGcGenConfig::default()
+            ..GenProfile::standard()
         };
         for seed in 0..20 {
-            let mut gen = MemGcProgramGen::with_config(seed, cfg, MemGcConversions::standard());
+            let mut gen = MemGcProgramGen::with_config(seed, profile, MemGcConversions::standard());
             let ty = gen.gen_ml_type(1);
             if has_foreign(&ty) {
                 continue;

@@ -13,91 +13,64 @@
 //! read, and each pair is derived once per sweep.  The probes are pure
 //! yes/no queries that consume no randomness, so what is generated never
 //! depends on the cache's state.
+//!
+//! What to generate is set by one [`GenProfile`]: its goal-type depth,
+//! expression depth, boundary bias and constructor weights (its fuel belongs
+//! to the run stage).
 
 use crate::convert::SharedMemConversions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
-use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::case::{ConstructorClass, GenProfile};
 use semint_core::convert::ConversionScheme;
-
-/// Tuning knobs for the generator.
-#[derive(Debug, Clone, Copy)]
-pub struct GenConfig {
-    /// Maximum expression depth.
-    pub max_depth: usize,
-    /// Maximum goal-type depth (used by [`ProgramGen::gen_hl_type`] /
-    /// [`ProgramGen::gen_ll_type`] callers that follow the config).
-    pub type_depth: usize,
-    /// Probability (0–100) of inserting a boundary when one is possible.
-    pub boundary_bias: u32,
-    /// Constructor-class weights for goal-type generation.
-    pub weights: ConstructorWeights,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_depth: 5,
-            type_depth: 2,
-            boundary_bias: 35,
-            weights: ConstructorWeights::STANDARD,
-        }
-    }
-}
-
-impl From<&GenProfile> for GenConfig {
-    fn from(profile: &GenProfile) -> Self {
-        GenConfig {
-            max_depth: profile.max_depth,
-            type_depth: profile.type_depth,
-            boundary_bias: profile.boundary_bias,
-            weights: profile.weights,
-        }
-    }
-}
 
 /// A deterministic program generator seeded by a `u64`, so property tests can
 /// shrink on the seed.
 #[derive(Debug)]
 pub struct ProgramGen {
     rng: StdRng,
-    config: GenConfig,
+    profile: GenProfile,
     conversions: SharedMemConversions,
 }
 
 impl ProgramGen {
-    /// A generator with a fresh standard rule set and default configuration.
+    /// A generator with a fresh standard rule set and the standard profile.
     pub fn new(seed: u64) -> Self {
-        ProgramGen::with_config(seed, GenConfig::default(), SharedMemConversions::standard())
+        ProgramGen::with_config(
+            seed,
+            GenProfile::standard(),
+            SharedMemConversions::standard(),
+        )
     }
 
-    /// A generator with an explicit configuration that probes
-    /// `conversions` at every boundary (pass the rule set of the system that
-    /// will typecheck and compile the programs; see the module docs).
-    pub fn with_config(seed: u64, config: GenConfig, conversions: SharedMemConversions) -> Self {
+    /// A generator that follows `profile`'s depth, boundary-bias and
+    /// weight knobs and probes `conversions` at every boundary (pass the
+    /// rule set of the system that will typecheck and compile the programs;
+    /// see the module docs).
+    pub fn with_config(seed: u64, profile: GenProfile, conversions: SharedMemConversions) -> Self {
         ProgramGen {
             rng: StdRng::seed_from_u64(seed),
-            config,
+            profile,
             conversions,
         }
     }
 
     /// Generates a closed, well-typed RefHL expression of type `ty`.
     pub fn gen_hl(&mut self, ty: &HlType) -> HlExpr {
-        self.hl(ty, self.config.max_depth)
+        self.hl(ty, self.profile.max_depth)
     }
 
     /// Generates a closed, well-typed RefLL expression of type `ty`.
     pub fn gen_ll(&mut self, ty: &LlType) -> LlExpr {
-        self.ll(ty, self.config.max_depth)
+        self.ll(ty, self.profile.max_depth)
     }
 
     /// Generates a random RefHL type of bounded size (used to vary the goal
     /// type itself in property tests and by [`ProgramGen::gen_goal_hl_type`]
-    /// at the configured type depth).  Constructor classes are drawn from
-    /// the configured [`ConstructorWeights`], so branch-heavy profiles
-    /// recurse most of the time and reach their full depth budget.
+    /// at the profile's type depth).  Constructor classes are drawn from
+    /// the profile's constructor weights, so branch-heavy profiles recurse
+    /// most of the time and reach their full depth budget.
     pub fn gen_hl_type(&mut self, depth: usize) -> HlType {
         if depth == 0 {
             return if self.rng.gen_bool(0.5) {
@@ -123,9 +96,9 @@ impl ProgramGen {
         }
     }
 
-    /// A goal type at the configured type depth.
+    /// A goal type at the profile's type depth.
     pub fn gen_goal_hl_type(&mut self) -> HlType {
-        self.gen_hl_type(self.config.type_depth)
+        self.gen_hl_type(self.profile.type_depth)
     }
 
     /// Generates a random RefLL goal type of bounded size (deep arrays and
@@ -142,12 +115,12 @@ impl ProgramGen {
     }
 
     fn pick_class(&mut self) -> ConstructorClass {
-        let total = self.config.weights.total().max(1);
-        self.config.weights.class_for(self.rng.gen_range(0..total))
+        let total = self.profile.weights.total().max(1);
+        self.profile.weights.class_for(self.rng.gen_range(0..total))
     }
 
     fn boundary_here(&mut self) -> bool {
-        self.rng.gen_range(0u32..100) < self.config.boundary_bias
+        self.rng.gen_range(0u32..100) < self.profile.boundary_bias
     }
 
     fn hl(&mut self, ty: &HlType, depth: usize) -> HlExpr {
@@ -423,13 +396,12 @@ mod tests {
 
     #[test]
     fn boundary_bias_zero_generates_single_language_programs() {
-        let cfg = GenConfig {
-            max_depth: 4,
+        let profile = GenProfile {
             boundary_bias: 0,
-            ..GenConfig::default()
+            ..GenProfile::standard()
         };
         for seed in 0..20 {
-            let mut gen = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
+            let mut gen = ProgramGen::with_config(seed, profile, SharedMemConversions::standard());
             let e = gen.gen_hl(&HlType::Bool);
             assert!(!format!("{e}").contains('⦇'), "no boundaries expected: {e}");
         }
@@ -447,12 +419,11 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        use semint_core::case::GenProfile;
         let ml = MultiLang::new(SharedMemConversions::standard());
-        let cfg = GenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
+            let mut gen =
+                ProgramGen::with_config(seed, GenProfile::deep(), SharedMemConversions::standard());
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
@@ -475,11 +446,11 @@ mod tests {
             HlType::prod(HlType::Bool, HlType::Bool),
             HlType::prod(HlType::Bool, HlType::Bool),
         );
-        let cfg = GenConfig {
+        let profile = GenProfile {
             boundary_bias: 100,
-            ..GenConfig::default()
+            ..GenProfile::standard()
         };
-        let mut gen = ProgramGen::with_config(11, cfg, SharedMemConversions::standard());
+        let mut gen = ProgramGen::with_config(11, profile, SharedMemConversions::standard());
         let e = gen.gen_hl(&ty);
         assert!(
             format!("{e}").contains('⦇'),

@@ -40,17 +40,19 @@
 //! assert_eq!(report.failure_count(), 0);
 //! ```
 //!
-//! Workloads are supplied by a [`harness::source::ScenarioSource`] — a seed
-//! range, a deterministic k-of-n shard of one, or a persisted corpus — and
-//! shaped by a [`core::case::GenProfile`] (presets `smoke`, `default`,
-//! `deep`, `boundary-heavy`).  The same engine backs the `semint` binary:
+//! A sweep's population is its seeds times one generation profile: the
+//! seeds come from a [`harness::source::ScenarioSource`] (a seed range or a
+//! deterministic k-of-n shard of one), and every scenario is generated with
+//! one [`core::case::GenProfile`] (presets `smoke`, `default`, `deep`,
+//! `boundary-heavy`, or any of them with knobs overridden).  Generation is
+//! deterministic in `(case, seed, profile)`, so those two name the whole
+//! population.  The same engine backs the `semint` binary:
 //!
 //! ```text
 //! semint sweep --seeds 0..200 --jobs 4          # parallel sweep, aggregate report
 //! semint sweep --profile deep                   # deep source types (glue on the hot path)
 //! semint sweep --profile deep --batch 8         # 8 artifacts per reused machine, same digests
 //! semint sweep --seeds 0..200 --shard 0/2       # half the range; digests merge via report
-//! semint sweep --corpus-save pop.corpus         # persist + replay scenario populations
 //! semint bench --profile deep --save b.tsv      # per-stage timing mode (E9/E11), saved as TSV
 //! semint bench-diff BENCH_8.tsv b.tsv           # digest/counter drift + throughput gate
 //! semint check --case sharedmem --seeds 0..50   # Lemma 3.1 catalogue + model checks

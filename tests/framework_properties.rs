@@ -1,46 +1,14 @@
 //! Cross-cutting framework properties (paper §2) exercised across all three
-//! case studies at once: the convertibility registry, world laws, the
-//! `interp_equal` decision procedure, and the uniform treatment of dynamic
-//! error codes.
+//! case studies at once: world laws, the `interp_equal` decision procedure,
+//! and the uniform treatment of dynamic error codes.
 
 use proptest::prelude::*;
-use semint::core::convert::{ConversionPair, ConvertibilityRegistry};
 use semint::core::world::check_world_laws;
 use semint::core::{ErrorCode, Fuel, Outcome, StepIndex};
 use semint::reflang::syntax::{HlType, LlType};
 use semint::sharedmem::convert::SharedMemConversions;
 use semint::sharedmem::model::{interp_equal, SemType, World};
 use semint::stacklang::Loc;
-
-#[test]
-fn the_generic_registry_can_host_the_fig4_rules() {
-    // The case-study crates derive rules structurally, but the paper's step
-    // 2.2 describes a declarative rule table; show the two presentations
-    // agree on the base rules by loading the derived glue into the generic
-    // registry from semint-core.
-    let derived = SharedMemConversions::standard();
-    let mut registry: ConvertibilityRegistry<HlType, LlType, semint::stacklang::Program> =
-        ConvertibilityRegistry::new();
-    let pairs = [
-        (HlType::Bool, LlType::Int),
-        (HlType::Unit, LlType::Int),
-        (HlType::ref_(HlType::Bool), LlType::ref_(LlType::Int)),
-        (
-            HlType::sum(HlType::Bool, HlType::Bool),
-            LlType::array(LlType::Int),
-        ),
-    ];
-    for (hl, ll) in pairs {
-        let (to_ll, to_hl) = derived.derive(&hl, &ll).expect("derivable");
-        registry.register(hl, ll, ConversionPair::new(to_ll, to_hl));
-    }
-    assert_eq!(registry.len(), 4);
-    assert!(registry.convertible(&HlType::Bool, &LlType::Int));
-    assert!(!registry.convertible(&HlType::Bool, &LlType::array(LlType::Int)));
-    // The no-op rules really are no-ops in the registry view as well.
-    let pair = registry.conversion(&HlType::Bool, &LlType::Int).unwrap();
-    assert!(pair.a_to_b.is_empty() && pair.b_to_a.is_empty());
-}
 
 #[test]
 fn all_case_study_worlds_satisfy_the_world_laws() {

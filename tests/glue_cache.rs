@@ -1,15 +1,13 @@
 //! Properties of the shared conversion layer (PR 2): memoized glue
 //! derivation must be **observably identical** to cold derivation for deep
-//! compound types in all three case studies, the generic
-//! [`ConvertibilityRegistry`] must look up flipped/symmetric rules
-//! coherently, and each case's generator must share the case's cache
-//! without its programs depending on what the cache holds.
+//! compound types in all three case studies, and each case's generator must
+//! share the case's cache without its programs depending on what the cache
+//! holds.
 
 use proptest::prelude::*;
 use semint::affine::convert::AffineConversions;
 use semint::affine::{AffiType, MlType};
 use semint::core::case::GenProfile;
-use semint::core::convert::{ConversionPair, ConvertibilityRegistry};
 use semint::harness::cases::AnyCase;
 use semint::harness::CaseStudy;
 use semint::memgc::convert::MemGcConversions;
@@ -121,35 +119,6 @@ proptest! {
         let cold = MemGcConversions::standard().derive(&ml, &l3);
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(&first, &cold);
-    }
-
-    #[test]
-    fn registry_flipped_lookup_is_symmetric(depth in 0u8..5, use_unit in any::<bool>()) {
-        // Load the derived §3 glue into the generic registry both ways round
-        // (HL→LL and, flipped, LL→HL) and check the two views agree rule by
-        // rule: `flipped` must swap directions, and flipping twice must be
-        // the identity.
-        let derived = SharedMemConversions::standard();
-        let (hl, ll) = sharedmem_pair(depth, use_unit);
-        let (to_ll, to_hl) = derived.derive(&hl, &ll).expect("derivable");
-
-        let mut forward: ConvertibilityRegistry<HlType, LlType, semint::stacklang::Program> =
-            ConvertibilityRegistry::new();
-        let mut backward: ConvertibilityRegistry<LlType, HlType, semint::stacklang::Program> =
-            ConvertibilityRegistry::new();
-        forward.register(hl.clone(), ll.clone(), ConversionPair::new(to_ll, to_hl));
-        for ((a, b), pair) in forward.iter() {
-            backward.register(b.clone(), a.clone(), pair.clone().flipped());
-        }
-
-        prop_assert!(forward.convertible(&hl, &ll));
-        prop_assert!(backward.convertible(&ll, &hl), "flipped rule must be found");
-        let fwd = forward.conversion(&hl, &ll).expect("registered").clone();
-        let bwd = backward.conversion(&ll, &hl).expect("registered").clone();
-        prop_assert_eq!(&fwd.a_to_b, &bwd.b_to_a);
-        prop_assert_eq!(&fwd.b_to_a, &bwd.a_to_b);
-        prop_assert_eq!(fwd.clone(), bwd.flipped());
-        prop_assert_eq!(fwd.clone().flipped().flipped(), fwd);
     }
 }
 

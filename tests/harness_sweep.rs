@@ -9,7 +9,9 @@ use semint::harness::engine::{run_scenario, sweep_all, sweep_case, SweepConfig};
 use semint::harness::report::render_sweep;
 use semint::harness::source::SeedRange;
 use semint::harness::CaseStudy;
+use semint_core::case::{ConstructorWeights, GenProfile};
 use semint_core::stats::{FailStage, SweepReport};
+use semint_core::Fuel;
 
 fn fixed_source() -> SeedRange {
     SeedRange::new(0, 60).expect("well-formed")
@@ -196,5 +198,111 @@ fn run_scenario_records_the_pipeline_outcome() {
         let stats = record.stats.expect("pipeline reached the run stage");
         assert!(stats.outcome.is_safe());
         assert!(record.program_chars > 0);
+    }
+}
+
+/// One case study's pinned sweep: its digest, then its counters in
+/// `VmCounters` field order (data, control, fun, heap instructions;
+/// boundary crossings; heap allocs, frees, reuses, peak live; stack peak).
+type CasePin = (&'static str, [u64; 10]);
+
+/// Pins the exact generator output: seeds 0..40 of every case study under
+/// `smoke`, `default` and a custom `deep` variant must reproduce these
+/// digests and VM counters.  Any change to a generator, a rule set or a
+/// machine that alters what is generated or how it runs shows up here.
+#[test]
+fn generator_output_is_pinned_for_three_profiles() {
+    let custom = GenProfile {
+        name: "custom",
+        boundary_bias: 60,
+        weights: ConstructorWeights {
+            leaf: 1,
+            branch: 3,
+            wrap: 1,
+        },
+        fuel: Fuel::steps(100_000),
+        ..GenProfile::deep()
+    }
+    .validated()
+    .expect("custom profile is valid");
+    let pins: [(GenProfile, [CasePin; 3]); 3] = [
+        (
+            GenProfile::smoke(),
+            [
+                (
+                    "case=sharedmem scenarios=40 steps=314 boundaries=17 chars=1078 failures=0 value=40",
+                    [202, 21, 85, 6, 17, 6, 0, 0, 1, 3],
+                ),
+                (
+                    "case=affine scenarios=40 steps=754 boundaries=15 chars=1156 failures=0 value=40",
+                    [447, 18, 234, 55, 15, 10, 0, 0, 1, 5],
+                ),
+                (
+                    "case=memgc scenarios=40 steps=452 boundaries=24 chars=971 failures=0 value=40",
+                    [244, 10, 134, 64, 24, 18, 1, 0, 3, 4],
+                ),
+            ],
+        ),
+        (
+            GenProfile::standard(),
+            [
+                (
+                    "case=sharedmem scenarios=40 steps=834 boundaries=102 chars=3776 failures=0 fail-Conv=1 value=39",
+                    [518, 63, 245, 8, 102, 8, 0, 0, 2, 4],
+                ),
+                (
+                    "case=affine scenarios=40 steps=1321 boundaries=49 chars=2230 failures=0 value=40",
+                    [760, 34, 465, 62, 49, 11, 0, 0, 3, 8],
+                ),
+                (
+                    "case=memgc scenarios=40 steps=1094 boundaries=64 chars=1948 failures=0 value=40",
+                    [551, 40, 367, 136, 64, 24, 2, 1, 3, 8],
+                ),
+            ],
+        ),
+        (
+            custom,
+            [
+                (
+                    "case=sharedmem scenarios=40 steps=1906 boundaries=325 chars=10481 failures=0 fail-Conv=4 value=36",
+                    [1180, 95, 615, 16, 325, 16, 0, 0, 2, 6],
+                ),
+                (
+                    "case=affine scenarios=40 steps=4017 boundaries=173 chars=9985 failures=0 value=40",
+                    [2459, 80, 1422, 56, 173, 13, 0, 0, 3, 14],
+                ),
+                (
+                    "case=memgc scenarios=40 steps=3542 boundaries=168 chars=5153 failures=0 value=40",
+                    [2040, 124, 1128, 250, 168, 58, 2, 1, 5, 14],
+                ),
+            ],
+        ),
+    ];
+    let source = SeedRange::new(0, 40).expect("well-formed");
+    for (profile, expected) in pins {
+        let cfg = SweepConfig {
+            jobs: 2,
+            profile,
+            model_check: false,
+            ..SweepConfig::default()
+        };
+        let report = sweep_all(&AnyCase::all(false), &source, &cfg);
+        for (case, (digest, counters)) in report.cases.iter().zip(expected) {
+            let c = case.counters;
+            let row = [
+                c.instr_data,
+                c.instr_control,
+                c.instr_fun,
+                c.instr_heap,
+                c.boundary_crossings,
+                c.heap_allocs,
+                c.heap_frees,
+                c.heap_reuses,
+                c.heap_peak_live,
+                c.stack_peak,
+            ];
+            assert_eq!(case.digest(), digest, "profile {}", profile.name);
+            assert_eq!(row, counters, "profile {}: {}", profile.name, case.case);
+        }
     }
 }

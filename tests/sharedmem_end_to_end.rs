@@ -3,10 +3,10 @@
 //! type-safety theorems (Thm 3.3/3.4).
 
 use proptest::prelude::*;
-use semint::core::Fuel;
+use semint::core::{Fuel, GenProfile};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
-use semint::sharedmem::gen::{GenConfig, ProgramGen};
+use semint::sharedmem::gen::ProgramGen;
 use semint::sharedmem::model::{ModelChecker, SemType};
 use semint::sharedmem::multilang::MultiLang;
 use semint::stacklang::Value;
@@ -162,7 +162,7 @@ proptest! {
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
         let sys = system();
         let checker = ModelChecker::default();
-        let mut generator = ProgramGen::with_config(seed, GenConfig { max_depth: 4, boundary_bias: 30, ..GenConfig::default() }, sys.conversions().clone());
+        let mut generator = ProgramGen::with_config(seed, GenProfile { boundary_bias: 30, ..GenProfile::standard() }, sys.conversions().clone());
         let ty = generator.gen_hl_type(1);
         let program = generator.gen_hl(&ty);
         let compiled = sys.compile_hl(&program).expect("compiles");
@@ -177,8 +177,8 @@ proptest! {
     /// and copying rule sets (the strategies only differ at boundaries).
     #[test]
     fn conversion_strategy_is_unobservable_without_boundaries(seed in any::<u64>()) {
-        let cfg = GenConfig { max_depth: 4, boundary_bias: 0, ..GenConfig::default() };
-        let mut g1 = ProgramGen::with_config(seed, cfg, SharedMemConversions::standard());
+        let profile = GenProfile { boundary_bias: 0, ..GenProfile::standard() };
+        let mut g1 = ProgramGen::with_config(seed, profile, SharedMemConversions::standard());
         let ty = g1.gen_hl_type(2);
         let program = g1.gen_hl(&ty);
         let share = MultiLang::new(SharedMemConversions::standard());
