@@ -208,8 +208,9 @@ type CasePin = (&'static str, [u64; 10]);
 
 /// Pins the exact generator output: seeds 0..40 of every case study under
 /// `smoke`, `default` and a custom `deep` variant must reproduce these
-/// digests and VM counters.  Any change to a generator, a rule set or a
-/// machine that alters what is generated or how it runs shows up here.
+/// digests and VM counters, with the model check off and on.  Any change to
+/// a generator, a rule set or a machine that alters what is generated or how
+/// it runs shows up here, and so does a model check that perturbs a result.
 #[test]
 fn generator_output_is_pinned_for_three_profiles() {
     let custom = GenProfile {
@@ -280,29 +281,32 @@ fn generator_output_is_pinned_for_three_profiles() {
     ];
     let source = SeedRange::new(0, 40).expect("well-formed");
     for (profile, expected) in pins {
-        let cfg = SweepConfig {
-            jobs: 2,
-            profile,
-            model_check: false,
-            ..SweepConfig::default()
-        };
-        let report = sweep_all(&AnyCase::all(false), &source, &cfg);
-        for (case, (digest, counters)) in report.cases.iter().zip(expected) {
-            let c = case.counters;
-            let row = [
-                c.instr_data,
-                c.instr_control,
-                c.instr_fun,
-                c.instr_heap,
-                c.boundary_crossings,
-                c.heap_allocs,
-                c.heap_frees,
-                c.heap_reuses,
-                c.heap_peak_live,
-                c.stack_peak,
-            ];
-            assert_eq!(case.digest(), digest, "profile {}", profile.name);
-            assert_eq!(row, counters, "profile {}: {}", profile.name, case.case);
+        for model_check in [false, true] {
+            let cfg = SweepConfig {
+                jobs: 2,
+                profile,
+                model_check,
+                ..SweepConfig::default()
+            };
+            let report = sweep_all(&AnyCase::all(false), &source, &cfg);
+            for (case, (digest, counters)) in report.cases.iter().zip(expected) {
+                let c = case.counters;
+                let row = [
+                    c.instr_data,
+                    c.instr_control,
+                    c.instr_fun,
+                    c.instr_heap,
+                    c.boundary_crossings,
+                    c.heap_allocs,
+                    c.heap_frees,
+                    c.heap_reuses,
+                    c.heap_peak_live,
+                    c.stack_peak,
+                ];
+                let setting = format!("profile {}, model check {model_check}", profile.name);
+                assert_eq!(case.digest(), digest, "{setting}");
+                assert_eq!(row, counters, "{setting}: {}", case.case);
+            }
         }
     }
 }
