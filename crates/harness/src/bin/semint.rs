@@ -8,10 +8,8 @@
 //! semint sweep --seeds 0..200 --jobs 4              # parallel sweep, aggregate report
 //! semint sweep --profile deep                       # deep-type population (glue cache on the hot path)
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
-//! semint bench --profile deep --save current.tsv    # E9/E11 timing mode; saves settings + report TSV
 //! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
 //! semint profile t.jsonl                            # aggregate trace files offline
-//! semint bench-diff BENCH_8.tsv current.tsv         # digest drift / throughput regression gate
 //! semint report a.tsv b.tsv                         # merge + re-render saved reports
 //! semint serve --workers 4 --log serve.log          # sweep-orchestration daemon (localhost TCP)
 //! semint serve --state-dir state                    # crash-safe daemon: journal + checkpoints
@@ -29,12 +27,10 @@ use semint_core::stats::SweepReport;
 use semint_core::Fuel;
 use semint_harness::cases::AnyCase;
 use semint_harness::engine::{
-    parallel_map, run_scenario, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
+    run_scenario, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
 };
 use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
-use semint_harness::report::{
-    bench_diff, read_saved, render_bench_meta, render_rolling, render_sweep, BenchMeta,
-};
+use semint_harness::report::{render_rolling, render_sweep};
 use semint_harness::serve::{
     self, ChaosConfig, Daemon, FaultKind, FaultPlan, JobSpec, JobStatus, Request, Response,
     ServeConfig, DEFAULT_PORT,
@@ -55,17 +51,11 @@ USAGE:
                                                       Lemma 3.1 catalogue + model-check a seed range
     semint sweep [--case NAME] [--seeds A..B] [--jobs J] [--save PATH] [options]
                                                       parallel sweep with aggregate statistics
-    semint bench [--case NAME] [--seeds A..B] [--repeat R] [--cold] [--save PATH] [options]
-                                                      timed sweep: per-stage wall-clock totals and
-                                                      throughput (model check off unless --model-check)
     semint profile TRACE...                           aggregate --trace JSONL files: per-stage totals,
                                                       per-case opcode-class histograms, allocation
                                                       stats, hottest seeds by steps
-    semint bench-diff BASELINE CURRENT                compare two `bench --save` files benched with the
-                                                      same settings; fails on any digest or counter
-                                                      drift or a >25% throughput regression
     semint report PATH...                             render (and, for several PATHs, merge) reports
-                                                      saved by `sweep --save` or `bench --save`;
+                                                      saved by `sweep --save`;
                                                       sharded sweeps merge into the digests of the
                                                       unsharded sweep
     semint serve  [--port P] [--workers W] [options]  long-running sweep-orchestration daemon: a FIFO
@@ -114,28 +104,21 @@ OPTIONS:
     --batch N        compiled artifacts executed per reused machine
                      (default: 1 = one machine per scenario); batching
                      amortises machine setup and never changes digests
-                     (--cold benches rebuild everything per scenario, so
-                     they run and record batch 1)
-    --no-model-check skip the realizability-model stage (sweep only)
-    --model-check    force the realizability-model stage (bench only; off there by default)
+    --no-model-check skip the realizability-model stage (run, sweep, submit;
+                     `check` rejects it)
     --time           collect per-stage wall-clock totals
                      (generate/typecheck/compile/run/model-check);
                      deterministic VM counters are always collected
     --trace PATH     stream one JSONL event per scenario (plus periodic
                      sweep-progress heartbeats) to PATH from a dedicated
-                     writer thread (sweep and bench; a bench streams every
-                     repeat into the one file); implies --time; traced and
+                     writer thread (sweep only); implies --time; traced and
                      untraced sweeps agree on digests and counters exactly
     --progress       rolling stderr progress line (scenarios/s, safe-rate,
                      glue hit-rate, ETA)
-    --repeat R       bench repeats, best-of-R is reported    (default: 3)
-    --cold           bench with a cold glue cache per scenario: each scenario's
-                     generate, typecheck and compile share a fresh cache
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
-    --save PATH      save the sweep report as TSV (for `bench`, behind a header
-                     of the bench's settings and best wall-clock; for
-                     `status --job N`, save the job's merged report)
+    --save PATH      save the sweep report as TSV (for `status --job N`, save
+                     the job's merged report)
 
 SERVE (daemon, submit, status):
     --port P         daemon TCP port on 127.0.0.1                (default: 7844; 0 = ephemeral)
@@ -185,9 +168,7 @@ fn main() -> ExitCode {
         "run" => cmd_run(rest),
         "check" => cmd_check(rest),
         "sweep" => cmd_sweep(rest),
-        "bench" => cmd_bench(rest),
         "profile" => cmd_profile(rest),
-        "bench-diff" => cmd_bench_diff(rest),
         "report" => cmd_report(rest),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
@@ -215,19 +196,8 @@ fn main() -> ExitCode {
 }
 
 /// Every subcommand the dispatcher knows, for the unknown-command hint.
-const COMMANDS: [&str; 12] = [
-    "run",
-    "check",
-    "sweep",
-    "bench",
-    "profile",
-    "bench-diff",
-    "report",
-    "serve",
-    "submit",
-    "status",
-    "chaos",
-    "help",
+const COMMANDS: [&str; 10] = [
+    "run", "check", "sweep", "profile", "report", "serve", "submit", "status", "chaos", "help",
 ];
 
 /// Plain Levenshtein edit distance, small enough to hand-roll (the CLI is
@@ -276,13 +246,10 @@ struct Options {
     jobs: usize,
     batch: usize,
     profile: GenProfile,
-    /// Tri-state so each subcommand picks its own default (`sweep`: on,
-    /// `bench`: off).
-    model_check: Option<bool>,
+    /// On unless `--no-model-check`, which `check` rejects.
+    model_check: bool,
     time: bool,
     broken: bool,
-    repeat: usize,
-    cold: bool,
     save: Option<String>,
     trace: Option<String>,
     progress: bool,
@@ -331,11 +298,9 @@ impl Default for Options {
             jobs: 4,
             batch: 1,
             profile: GenProfile::standard(),
-            model_check: None,
+            model_check: true,
             time: false,
             broken: false,
-            repeat: 3,
-            cold: false,
             save: None,
             trace: None,
             progress: false,
@@ -497,19 +462,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("--fuel: {e}"))?;
                 fuel = Some(Fuel::steps(steps));
             }
-            "--no-model-check" => opts.model_check = Some(false),
-            "--model-check" => opts.model_check = Some(true),
+            "--no-model-check" => opts.model_check = false,
             "--time" => opts.time = true,
             "--broken" => opts.broken = true,
-            "--repeat" => {
-                opts.repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|e| format!("--repeat: {e}"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".into());
-                }
-            }
-            "--cold" => opts.cold = true,
             "--save" => opts.save = Some(value("--save")?.to_string()),
             "--trace" => opts.trace = Some(value("--trace")?.to_string()),
             "--progress" => opts.progress = true,
@@ -696,24 +651,21 @@ fn check_sweep_size(cases: &[AnyCase], source: &dyn ScenarioSource) -> Result<()
     Ok(())
 }
 
-fn sweep_config(opts: &Options, model_check_default: bool) -> SweepConfig {
+fn sweep_config(opts: &Options) -> SweepConfig {
     SweepConfig {
         jobs: opts.jobs,
         profile: opts.profile,
-        model_check: opts.model_check.unwrap_or(model_check_default),
+        model_check: opts.model_check,
         time: opts.time,
         batch: opts.batch,
     }
 }
 
 /// Builds the `--trace`/`--progress` observer when either flag was given.
-/// `passes` is how many times the whole scenario set will run (bench
-/// repeats), so the progress line's total and ETA stay honest.
 fn build_observer(
     opts: &Options,
     cases: &[AnyCase],
     source: &dyn ScenarioSource,
-    passes: u64,
 ) -> Result<Option<SweepObserver>, String> {
     if opts.trace.is_none()
         && !opts.progress
@@ -723,7 +675,7 @@ fn build_observer(
         return Ok(None);
     }
     let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let total = source.total(&names) * passes;
+    let total = source.total(&names);
     SweepObserver::new(total, opts.trace.as_deref().map(Path::new), opts.progress)
         .map(|observer| {
             Some(
@@ -746,14 +698,14 @@ fn finish_observer(observer: Option<SweepObserver>) -> Result<(), String> {
 
 /// `semint run`: one scenario, spelled out — always with per-stage
 /// wall-clock, so a single-seed investigation shows where the time goes
-/// without a full `semint bench`.
+/// without a whole `--time`d sweep.
 fn cmd_run(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
     let seed = opts.seed.ok_or("`semint run` needs --seed N")?;
     let cases = selected_cases(&opts)?;
     let cfg = SweepConfig {
         time: true,
-        ..sweep_config(&opts, true)
+        ..sweep_config(&opts)
     };
     let mut clean = true;
     for case in &cases {
@@ -805,10 +757,16 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
 /// scenario set.
 fn cmd_check(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
+    if !opts.model_check {
+        return Err(
+            "`semint check` model-checks every scenario; --no-model-check \
+             contradicts it (use `semint sweep --no-model-check`)"
+                .into(),
+        );
+    }
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
-    let mut cfg = sweep_config(&opts, true);
-    cfg.model_check = true;
+    let cfg = sweep_config(&opts);
     let mut clean = true;
     for case in &cases {
         match case.check_conversions() {
@@ -834,7 +792,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     }
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
-    let mut cfg = sweep_config(&opts, true);
+    let mut cfg = sweep_config(&opts);
     // A trace event carries per-stage micros, so tracing implies timing
     // (timing never changes digests, so this is safe to force).
     if opts.trace.is_some() {
@@ -842,7 +800,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     }
     check_sweep_size(&cases, source.as_ref())?;
     println!("sweep: {} · profile {}", source.describe(), cfg.profile);
-    let observer = build_observer(&opts, &cases, source.as_ref(), 1)?;
+    let observer = build_observer(&opts, &cases, source.as_ref())?;
     let report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
     finish_observer(observer)?;
     if let Some(path) = &opts.trace {
@@ -885,136 +843,11 @@ fn corrupt_saved_report(path: &str, mode: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `semint bench`: the E9/E11 timing mode — repeated timed sweeps with
-/// per-stage wall-clock totals and throughput, optionally with a cold glue
-/// cache per scenario (`--cold` builds every scenario's case study from
-/// scratch, so no derivation survives between scenarios).
-fn cmd_bench(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    let cases = selected_cases(&opts)?;
-    let source = build_source(&opts)?;
-    let mut cfg = sweep_config(&opts, false);
-    cfg.time = true;
-    // A cold bench rebuilds everything per scenario (machines included),
-    // so it runs — and is recorded as — one artifact per machine,
-    // whatever `--batch` was given.
-    if opts.cold {
-        cfg.batch = 1;
-    }
-    check_sweep_size(&cases, source.as_ref())?;
-    // Settings go in the closing summary line; this one says what runs.
-    println!("bench: {} · profile {}", source.describe(), cfg.profile);
-    let observer = build_observer(&opts, &cases, source.as_ref(), opts.repeat as u64)?;
-    let mut best: Option<(u64, SweepReport)> = None;
-    let mut digests_stable = true;
-    for _rep in 0..opts.repeat {
-        let started = std::time::Instant::now();
-        let report = if opts.cold {
-            cold_sweep(
-                &cases,
-                source.as_ref(),
-                &cfg,
-                opts.broken,
-                observer.as_ref(),
-            )
-        } else {
-            sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref())
-        };
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        if let Some((_, prior)) = &best {
-            let digest = |r: &SweepReport| r.cases.iter().map(|c| c.digest()).collect::<Vec<_>>();
-            if digest(prior) != digest(&report) {
-                digests_stable = false;
-            }
-        }
-        match &best {
-            Some((best_ns, _)) if *best_ns <= wall_ns => {}
-            _ => best = Some((wall_ns, report)),
-        }
-    }
-    finish_observer(observer)?;
-    if let Some(path) = &opts.trace {
-        println!("trace saved: {path}");
-    }
-    let (wall_ns, report) = best.expect("--repeat is at least 1");
-    let meta = BenchMeta {
-        profile: cfg.profile.name.to_string(),
-        repeat: opts.repeat,
-        jobs: cfg.jobs,
-        batch: cfg.batch,
-        model_check: cfg.model_check,
-        cold: opts.cold,
-        wall_ns,
-        digests_stable,
-    };
-    // The best repeat, rendered as `semint report` renders its save.
-    print!("{}", render_sweep(&report));
-    println!("{}", render_bench_meta(&meta, report.scenarios()));
-    for case in &report.cases {
-        println!("digest: {}", case.digest());
-    }
-    if let Some(path) = &opts.save {
-        std::fs::write(path, meta.to_header() + &report.to_tsv())
-            .map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
-    }
-    Ok(report.failure_count() == 0 && digests_stable)
-}
-
-/// A sweep in which every scenario gets a freshly built case study — and
-/// therefore a cold glue cache of its own, shared by that scenario's
-/// generate, typecheck and compile stages: nothing derived for one scenario
-/// is visible to the next.  This is the "cold cache" baseline of the E11
-/// experiment; per-sweep cache counters are meaningless here (every
-/// scenario has its own cache) and reported as zero.  `--batch` is ignored
-/// on this path for the same reason: a cold run rebuilds everything per
-/// scenario, machines included, so there is nothing to amortise.
-fn cold_sweep(
-    cases: &[AnyCase],
-    source: &dyn ScenarioSource,
-    cfg: &SweepConfig,
-    broken: bool,
-    observer: Option<&SweepObserver>,
-) -> SweepReport {
-    let tasks: Vec<(&str, u64)> = cases
-        .iter()
-        .flat_map(|case| {
-            source
-                .seeds(case.name())
-                .into_iter()
-                .map(move |seed| (case.name(), seed))
-        })
-        .collect();
-    let records = parallel_map(&tasks, cfg.jobs, |&(name, seed)| {
-        let fresh = AnyCase::by_name(name, broken).expect("case names come from AnyCase");
-        let record = run_scenario(&fresh, seed, cfg);
-        if let Some(observer) = observer {
-            // Per-scenario caches make the glue snapshot meaningless here.
-            observer.scenario(name, &record, None);
-        }
-        (name, record)
-    });
-    let mut report = SweepReport {
-        cases: cases
-            .iter()
-            .map(|c| semint_core::stats::CaseReport::new(c.name()))
-            .collect(),
-    };
-    for (name, record) in &records {
-        if let Some(case_report) = report.cases.iter_mut().find(|c| &c.case == name) {
-            case_report.absorb(record);
-        }
-    }
-    report
-}
-
 /// `semint profile`: offline aggregation of one or more `--trace` files.
 fn cmd_profile(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
         return Err(
-            "`semint profile` needs at least one TRACE file written by `sweep --trace` \
-             or `bench --trace`"
-                .into(),
+            "`semint profile` needs at least one TRACE file written by `sweep --trace`".into(),
         );
     }
     let mut profile = TraceProfile::default();
@@ -1029,39 +862,19 @@ fn cmd_profile(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-/// `semint bench-diff`: the CI regression gate over two `bench --save`
-/// files (see [`bench_diff`]).  Exit 1 on drift or a throughput regression,
-/// exit 2 when the files cannot be compared.
-fn cmd_bench_diff(args: &[String]) -> Result<bool, String> {
-    let [baseline_path, current_path] = args else {
-        return Err("`semint bench-diff` needs exactly two paths: BASELINE CURRENT".into());
-    };
-    let read =
-        |path: &String| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
-    let (text, clean) = bench_diff(
-        (baseline_path, &read(baseline_path)?),
-        (current_path, &read(current_path)?),
-    )?;
-    print!("{text}");
-    Ok(clean)
-}
-
 /// `semint report`: render saved sweeps, merging when several are given
 /// (per-shard saves merge into the unsharded digests).  Reads the TSV of
-/// `sweep --save` and, header included, of `bench --save`.
+/// `sweep --save`.
 fn cmd_report(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
-        return Err("`semint report` needs at least one PATH saved by \
-                    `semint sweep --save` or `semint bench --save`"
-            .into());
+        return Err(
+            "`semint report` needs at least one PATH saved by `semint sweep --save`".into(),
+        );
     }
     let mut report = SweepReport::default();
     for path in args {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let (meta, saved) = read_saved(&text).map_err(|e| format!("{path}: {e}"))?;
-        if let Some(meta) = meta {
-            println!("{}", render_bench_meta(&meta, saved.scenarios()));
-        }
+        let saved = SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?;
         report.merge(&saved);
     }
     print!("{}", render_sweep(&report));
@@ -1167,7 +980,7 @@ fn cmd_submit(args: &[String]) -> Result<bool, String> {
         shards: opts.shards,
         jobs: opts.jobs,
         batch: opts.batch,
-        model_check: opts.model_check.unwrap_or(true),
+        model_check: opts.model_check,
         fault,
     };
     match serve::call(&addr, &Request::Submit(spec))? {
@@ -1396,7 +1209,7 @@ mod tests {
         assert!(!parse(&[]).unwrap().time);
         let opts = parse(&["--time"]).unwrap();
         assert!(opts.time);
-        assert!(sweep_config(&opts, true).time);
+        assert!(sweep_config(&opts).time);
     }
 
     #[test]
@@ -1405,11 +1218,20 @@ mod tests {
     }
 
     #[test]
+    fn check_rejects_no_model_check_instead_of_overriding_it() {
+        assert!(parse(&[]).unwrap().model_check, "on by default");
+        assert!(!parse(&["--no-model-check"]).unwrap().model_check);
+        // Rejected before any scenario runs.
+        let err = cmd_check(&["--no-model-check".into()]).unwrap_err();
+        assert!(err.contains("--no-model-check"), "{err}");
+    }
+
+    #[test]
     fn batch_sizes_parse_and_zero_is_rejected_not_clamped() {
         assert_eq!(parse(&[]).unwrap().batch, 1, "default is one per machine");
         let opts = parse(&["--batch", "8"]).unwrap();
         assert_eq!(opts.batch, 8);
-        assert_eq!(sweep_config(&opts, true).batch, 8);
+        assert_eq!(sweep_config(&opts).batch, 8);
         let err = parse(&["--batch", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&["--batch", "many"]).unwrap_err();
@@ -1488,17 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_flags_parse() {
-        let opts = parse(&["--repeat", "5", "--cold", "--model-check"]).unwrap();
-        assert_eq!(opts.repeat, 5);
-        assert!(opts.cold);
-        assert_eq!(opts.model_check, Some(true));
-        assert!(parse(&["--repeat", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
-    }
-
-    #[test]
     fn trace_and_progress_flags_parse() {
         let opts = parse(&[]).unwrap();
         assert!(opts.trace.is_none() && !opts.progress);
@@ -1506,14 +1317,6 @@ mod tests {
         assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
         assert!(opts.progress);
         assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
-    }
-
-    #[test]
-    fn bench_diff_needs_exactly_two_paths() {
-        assert!(cmd_bench_diff(&[]).unwrap_err().contains("BASELINE"));
-        assert!(cmd_bench_diff(&["one.tsv".into()])
-            .unwrap_err()
-            .contains("exactly two"));
     }
 
     #[test]
@@ -1649,8 +1452,10 @@ mod tests {
         assert!(hint.contains("did you mean `sweep`?"), "{hint}");
         let hint = unknown_command("stauts");
         assert!(hint.contains("did you mean `status`?"), "{hint}");
-        let hint = unknown_command("benchdiff");
-        assert!(hint.contains("did you mean `bench-diff`?"), "{hint}");
+        let hint = unknown_command("profle");
+        assert!(hint.contains("did you mean `profile`?"), "{hint}");
+        let hint = unknown_command("bench");
+        assert!(hint.starts_with("unknown command `bench`"), "{hint}");
         // Gibberish gets the plain error, not a far-fetched hint.
         let hint = unknown_command("xyzzyqwert");
         assert!(!hint.contains("did you mean"), "{hint}");

@@ -45,7 +45,7 @@ pub struct SweepConfig {
     /// expensive stage; `run`-only sweeps skip it).
     pub model_check: bool,
     /// Whether to collect per-stage wall-clock totals (`semint sweep
-    /// --time`, `semint bench`, `semint run`, and any `--trace`d sweep).
+    /// --time`, `semint run`, and any `--trace`d sweep).
     /// Wall-clock is one of two sweep-time signals: the deterministic
     /// [`semint_core::VmCounters`] (instructions by opcode class,
     /// allocations, high-water marks) are collected unconditionally — they

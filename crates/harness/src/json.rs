@@ -5,7 +5,7 @@
 //! The workspace is offline (no serde), so this module carries just enough
 //! for those documents: `escape_json` for the writers, a small `Reader`
 //! producing `Json` values with line/column error context, and the shared
-//! [`FORMAT_VERSION`] policy.  Saved sweep and bench reports are not JSON:
+//! [`FORMAT_VERSION`] policy.  Saved sweep reports are not JSON:
 //! they use the report TSV of
 //! [`SweepReport::to_tsv`](semint_core::stats::SweepReport::to_tsv).
 

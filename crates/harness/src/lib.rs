@@ -25,10 +25,9 @@
 //!   case studies into one task type so a single pool can interleave all of
 //!   them;
 //! * [`report`] — plain-text rendering of sweep reports for the `semint`
-//!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `bench`,
-//!   `report` subcommands), plus the one on-disk form of a saved report:
-//!   the report TSV, behind a settings header ([`report::BenchMeta`]) for
-//!   `semint bench --save`, and the `bench-diff` gate over two bench saves;
+//!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `report`
+//!   subcommands); a saved report has one on-disk form, the report TSV of
+//!   [`SweepReport::to_tsv`](semint_core::stats::SweepReport::to_tsv);
 //! * [`json`] — the hand-rolled JSON reader and escaping shared by the
 //!   trace stream, the serve wire protocol and the serve journal;
 //! * [`trace`] — Tier-B telemetry: the `--trace` JSONL event stream

@@ -53,8 +53,8 @@
 //! semint sweep --profile deep                   # deep source types (glue on the hot path)
 //! semint sweep --profile deep --batch 8         # 8 artifacts per reused machine, same digests
 //! semint sweep --seeds 0..200 --shard 0/2       # half the range; digests merge via report
-//! semint bench --profile deep --save b.tsv      # per-stage timing mode (E9/E11), saved as TSV
-//! semint bench-diff BENCH_8.tsv b.tsv           # digest/counter drift + throughput gate
+//! semint sweep --profile deep --time            # per-stage wall-clock totals
+//! semint sweep --seeds 0..20 --save r.tsv       # save the report TSV; `semint report r.tsv` reads it
 //! semint check --case sharedmem --seeds 0..50   # Lemma 3.1 catalogue + model checks
 //! semint run --case memgc --seed 7              # one scenario, verbosely
 //! semint sweep --seeds 0..50 --broken           # sabotaged rule → shrunk counterexamples

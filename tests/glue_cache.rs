@@ -9,7 +9,9 @@ use semint::affine::convert::AffineConversions;
 use semint::affine::{AffiType, MlType};
 use semint::core::case::GenProfile;
 use semint::harness::cases::AnyCase;
-use semint::harness::CaseStudy;
+use semint::harness::engine::{run_scenario, sweep_all, SweepConfig};
+use semint::harness::source::SeedRange;
+use semint::harness::{CaseReport, CaseStudy};
 use semint::memgc::convert::MemGcConversions;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
@@ -146,8 +148,8 @@ fn affine_out_of_order_subderivations_agree_with_cold() {
 /// Generators answer their convertibility probes from the case's shared
 /// glue cache, but what they generate must not depend on the cache's state:
 /// scenarios from one case whose cache warms seed after seed equal those
-/// from a fresh case per seed.  This is what keeps shard order, `--jobs`
-/// and `--cold` from changing a scenario.
+/// from a fresh case per seed.  This is what keeps shard order and `--jobs`
+/// from changing a scenario.
 #[test]
 fn generation_does_not_depend_on_glue_cache_state() {
     for profile in [GenProfile::deep(), GenProfile::boundary_heavy()] {
@@ -208,5 +210,39 @@ fn typecheck_and_compile_hit_the_pairs_generation_derived() {
                 profile.name
             );
         }
+    }
+}
+
+/// The sweep-level form of the property above: a warm sweep, whose case
+/// studies each share one glue cache across all their scenarios, reports
+/// exactly what a cold sweep does, in which every scenario gets a freshly
+/// built case study (so its generate, typecheck, compile, model-check and
+/// run stages share a cache of its own).  Every digest, every VM counter and
+/// every outcome histogram must match; only the cache's hit/miss figures
+/// may differ.  No cache state may leak into a scenario or its result.
+#[test]
+fn cold_and_warm_glue_caches_give_identical_reports() {
+    let cfg = SweepConfig {
+        jobs: 2,
+        profile: GenProfile::deep(),
+        ..SweepConfig::default()
+    };
+    let source = SeedRange::new(0, 40).expect("well-formed");
+    let warm = sweep_all(&AnyCase::all(false), &source, &cfg);
+    assert_eq!(warm.cases.len(), AnyCase::NAMES.len());
+    for (name, warm) in AnyCase::NAMES.into_iter().zip(&warm.cases) {
+        let mut cold = CaseReport::new(name);
+        for seed in 0..40 {
+            let fresh = AnyCase::by_name(name, false).expect("known case");
+            cold.absorb(&run_scenario(&fresh, seed, &cfg));
+        }
+        assert_eq!(warm.case, name);
+        assert_eq!(cold.digest(), warm.digest(), "{name}");
+        assert_eq!(cold.counters, warm.counters, "{name}");
+        assert_eq!(cold.outcome_histogram, warm.outcome_histogram, "{name}");
+        assert!(
+            warm.glue_hits > 0,
+            "{name}: the warm sweep never hit its cache"
+        );
     }
 }

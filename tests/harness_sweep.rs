@@ -207,12 +207,12 @@ fn run_scenario_records_the_pipeline_outcome() {
 type CasePin = (&'static str, [u64; 10]);
 
 /// Pins the exact generator output: seeds 0..40 of every case study under
-/// `smoke`, `default` and a custom `deep` variant must reproduce these
+/// `smoke`, `default`, `deep` and a custom `deep` variant must reproduce these
 /// digests and VM counters, with the model check off and on.  Any change to
 /// a generator, a rule set or a machine that alters what is generated or how
 /// it runs shows up here, and so does a model check that perturbs a result.
 #[test]
-fn generator_output_is_pinned_for_three_profiles() {
+fn generator_output_is_pinned_for_four_profiles() {
     let custom = GenProfile {
         name: "custom",
         boundary_bias: 60,
@@ -226,7 +226,7 @@ fn generator_output_is_pinned_for_three_profiles() {
     }
     .validated()
     .expect("custom profile is valid");
-    let pins: [(GenProfile, [CasePin; 3]); 3] = [
+    let pins: [(GenProfile, [CasePin; 3]); 4] = [
         (
             GenProfile::smoke(),
             [
@@ -258,6 +258,23 @@ fn generator_output_is_pinned_for_three_profiles() {
                 (
                     "case=memgc scenarios=40 steps=1094 boundaries=64 chars=1948 failures=0 value=40",
                     [551, 40, 367, 136, 64, 24, 2, 1, 3, 8],
+                ),
+            ],
+        ),
+        (
+            GenProfile::deep(),
+            [
+                (
+                    "case=sharedmem scenarios=40 steps=2867 boundaries=242 chars=11810 failures=0 fail-Conv=6 value=34",
+                    [1850, 135, 843, 39, 242, 39, 0, 0, 4, 7],
+                ),
+                (
+                    "case=affine scenarios=40 steps=4548 boundaries=114 chars=9078 failures=0 value=40",
+                    [2863, 88, 1488, 109, 114, 22, 0, 0, 3, 13],
+                ),
+                (
+                    "case=memgc scenarios=40 steps=3938 boundaries=149 chars=6222 failures=0 value=40",
+                    [2077, 110, 1242, 509, 149, 103, 20, 15, 6, 13],
                 ),
             ],
         ),
