@@ -1052,7 +1052,7 @@ fn cmd_status(args: &[String]) -> Result<bool, String> {
             .iter()
             .all(|job| matches!(job.state.as_str(), "done" | "failed"));
         if opts.wait && !settled {
-            std::thread::sleep(Duration::from_millis(200));
+            std::thread::sleep(Duration::from_millis(20));
             continue;
         }
         if draining {

@@ -252,7 +252,8 @@ fn wait_for_saves(
                 path.display()
             ));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        // Well under one shard's run time, so the kill lands mid-job.
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

@@ -29,6 +29,12 @@
 //! The [`chaos`] drill turns that invariant into a repeatable test: a
 //! seed-derived fault schedule (worker crashes, wedges, corrupted reports)
 //! against a live daemon that is then killed mid-job and resumed.
+//!
+//! The daemon has no timer polls: every thread blocks until the event it
+//! serves.  The accept loop blocks in `accept`; the scheduler waits on a
+//! condvar that `Submit`, `Shutdown` and a stopping daemon signal; and the
+//! [`supervisor`] wakes when a worker exits or a heartbeat deadline passes.
+//! Stopping wakes the blocked accept with one loopback connection.
 
 pub mod chaos;
 pub mod journal;
@@ -52,7 +58,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -108,15 +114,23 @@ impl ServeConfig {
 
 /// A running daemon: accept loop + scheduler thread, joined on shutdown.
 pub struct Daemon {
-    port: u16,
     accept: Option<JoinHandle<()>>,
     scheduler: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 /// State shared between the accept loop and the scheduler.
 struct Shared {
     queue: Mutex<JobQueue>,
+    /// Paired with `queue`: signalled when a job is queued, when draining
+    /// starts, and when the daemon stops — everything the idle scheduler
+    /// waits for.
+    wake: Condvar,
+    /// Set once, by [`Shared::stop`].
+    stop: AtomicBool,
+    /// The listener's port, for the loopback connection that wakes the
+    /// accept loop on stop.
+    port: u16,
     log: ServeLog,
     cfg: ServeConfig,
     workdir: PathBuf,
@@ -135,9 +149,6 @@ impl Daemon {
             .local_addr()
             .map_err(|e| format!("cannot read the bound address: {e}"))?
             .port();
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set the listener nonblocking: {e}"))?;
         let workdir =
             std::env::temp_dir().join(format!("semint-serve-{}-{port}", std::process::id()));
         std::fs::create_dir_all(&workdir)
@@ -154,6 +165,9 @@ impl Daemon {
         };
         let shared = Arc::new(Shared {
             queue: Mutex::new(queue),
+            wake: Condvar::new(),
+            stop: AtomicBool::new(false),
+            port,
             log,
             cfg,
             workdir,
@@ -168,28 +182,24 @@ impl Daemon {
                 ("queue_capacity", shared.cfg.queue_capacity.to_string()),
             ],
         );
-        let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || accept_loop(listener, &shared, &stop))
+            thread::spawn(move || accept_loop(listener, &shared))
         };
         let scheduler = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || scheduler_loop(&shared, &stop))
+            thread::spawn(move || scheduler_loop(&shared))
         };
         Ok(Daemon {
-            port,
             accept: Some(accept),
             scheduler: Some(scheduler),
-            stop,
+            shared,
         })
     }
 
     /// The port the daemon actually listens on (resolves `port: 0`).
     pub fn port(&self) -> u16 {
-        self.port
+        self.shared.port
     }
 
     /// Blocks until the daemon has drained and exited (a client must send
@@ -198,8 +208,8 @@ impl Daemon {
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
-        // The scheduler set the stop flag on drain; the accept loop sees it
-        // within one poll interval.
+        // The scheduler stopped the daemon on drain, which woke the accept
+        // loop with a loopback connection.
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -210,7 +220,7 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         // A dropped (not joined) daemon still stops its threads instead of
         // leaking them — tests that panic mid-run rely on this.
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
@@ -220,9 +230,30 @@ impl Drop for Daemon {
     }
 }
 
-/// How often the nonblocking accept loop and the scheduler re-check for
-/// work or the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+impl Shared {
+    /// Stops the daemon once; later calls do nothing.  Wakes the idle
+    /// scheduler through the condvar, and the accept loop, blocked in
+    /// `accept`, with one loopback connection.
+    fn stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Taking the lock orders the flag before the scheduler's next wait:
+        // a scheduler that read the flag as unset still holds the lock until
+        // it waits, so this notify cannot fall between its check and its
+        // wait.  A poisoned lock unlocks all the same.
+        drop(self.queue.lock());
+        self.wake.notify_all();
+        // If this connect fails for want of file descriptors, `accept`
+        // fails for the same reason, and the loop sees the flag after its
+        // error backoff.
+        let _ = TcpStream::connect(("127.0.0.1", self.port));
+    }
+}
+
+/// How long the accept loop backs off after a failed `accept` (say, out of
+/// file descriptors), so that a persistent error cannot spin it.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Opens the durable state (journal + checkpoints) per the config, and on
 /// `--resume` replays the journal into `queue`.  Refuses the confusable
@@ -335,19 +366,22 @@ fn restore_jobs(
     Ok(restored)
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every accept: the connection that woke a stopped
+        // daemon is its own loopback wake-up, not a client.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _addr)) => {
                 let shared = Arc::clone(shared);
                 // One detached thread per connection: the protocol is one
                 // request line, one response line, close — nothing lingers.
                 thread::spawn(move || serve_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -418,6 +452,7 @@ fn handle_request(request: Request, shared: &Shared) -> Response {
                         Some(job),
                         &[("pending", queue.snapshot().len().to_string())],
                     );
+                    shared.wake.notify_all();
                     Response::Submitted { job }
                 }
                 Err(e) => Response::Error(e),
@@ -438,65 +473,64 @@ fn handle_request(request: Request, shared: &Shared) -> Response {
         Request::Shutdown => {
             let mut queue = shared.queue.lock().expect("job queue poisoned");
             queue.drain();
+            shared.wake.notify_all();
             shared.log.event("drain", None, &[]);
             Response::Ok
         }
     }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>, stop: &Arc<AtomicBool>) {
+/// Blocks until the scheduler has a job to run, and takes it.  `None` once
+/// the daemon is stopped or has drained: an externally set stop flag (a
+/// dropped daemon) wins over queued work; a clean shutdown drains the queue
+/// first.
+fn next_job(shared: &Shared) -> Option<u64> {
+    let mut queue = shared.queue.lock().expect("job queue poisoned");
     loop {
-        // An externally set stop flag (a dropped daemon) wins over queued
-        // work; a clean shutdown drains the queue first.
-        if stop.load(Ordering::SeqCst) {
-            break;
+        if shared.stop.load(Ordering::SeqCst) || queue.is_drained() {
+            return None;
         }
-        let next = {
-            let mut queue = shared.queue.lock().expect("job queue poisoned");
-            if queue.is_drained() {
-                break;
-            }
-            queue.take_next()
+        if let Some(job_id) = queue.take_next() {
+            return Some(job_id);
+        }
+        queue = shared.wake.wait(queue).expect("job queue poisoned");
+    }
+}
+
+fn scheduler_loop(shared: &Arc<Shared>) {
+    while let Some(job_id) = next_job(shared) {
+        let result = supervisor::run_job(
+            &shared.cfg,
+            &shared.workdir,
+            shared.cfg.state_dir.as_deref(),
+            &shared.queue,
+            &shared.log,
+            shared.journal.as_ref(),
+            job_id,
+        );
+        // Journal the settlement before the queue flips the state:
+        // a crash in between re-runs the job, never forgets it.
+        let settled = match &result {
+            Ok(()) => JournalEvent::JobCompleted { job: job_id },
+            Err(reason) => JournalEvent::JobFailed {
+                job: job_id,
+                reason: reason.clone(),
+            },
         };
-        match next {
-            None => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Some(job_id) => {
-                let result = supervisor::run_job(
-                    &shared.cfg,
-                    &shared.workdir,
-                    shared.cfg.state_dir.as_deref(),
-                    &shared.queue,
-                    &shared.log,
-                    shared.journal.as_ref(),
-                    job_id,
-                );
-                // Journal the settlement before the queue flips the state:
-                // a crash in between re-runs the job, never forgets it.
-                let settled = match &result {
-                    Ok(()) => JournalEvent::JobCompleted { job: job_id },
-                    Err(reason) => JournalEvent::JobFailed {
-                        job: job_id,
-                        reason: reason.clone(),
-                    },
-                };
-                if let Some(journal) = &shared.journal {
-                    if let Err(e) = journal.append(&settled) {
-                        shared
-                            .log
-                            .event("journal-error", Some(job_id), &[("error", e)]);
-                    }
-                }
+        if let Some(journal) = &shared.journal {
+            if let Err(e) = journal.append(&settled) {
                 shared
-                    .queue
-                    .lock()
-                    .expect("job queue poisoned")
-                    .finish_active(result);
+                    .log
+                    .event("journal-error", Some(job_id), &[("error", e)]);
             }
         }
+        shared
+            .queue
+            .lock()
+            .expect("job queue poisoned")
+            .finish_active(result);
     }
     shared.log.event("daemon-exit", None, &[]);
     let _ = std::fs::remove_dir_all(&shared.workdir);
-    stop.store(true, Ordering::SeqCst);
+    shared.stop();
 }

@@ -12,6 +12,11 @@
 //! produced, so the final digests are byte-identical to a one-shot sweep no
 //! matter how many workers died along the way.
 //!
+//! The fleet sleeps until something happens: each worker's stderr reader
+//! reports the end of its stream, which comes when the worker exits, and
+//! otherwise the fleet wakes at the earliest heartbeat deadline among its
+//! running workers.  There is no fixed-interval poll.
+//!
 //! With a `--state-dir`, the fleet is also *crash-safe against the daemon
 //! itself*: every validated shard report is checkpointed (written and
 //! fsync'd) into the state dir **before** its `shard-saved` event is
@@ -28,6 +33,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -42,7 +48,7 @@ use crate::trace::ServeLog;
 
 /// One unit of fleet work: shard `index` of the job, on its
 /// `attempt`-th try (0 = first issue, >0 = re-issue after a death).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShardTask {
     index: u64,
     attempt: u64,
@@ -58,6 +64,9 @@ struct Worker {
     tail: Arc<Mutex<String>>,
     out_path: PathBuf,
     reader: Option<JoinHandle<()>>,
+    /// The worker's stderr reached EOF: it has exited, or is exiting, so a
+    /// blocking `wait` reaps it.
+    stderr_closed: bool,
 }
 
 impl Worker {
@@ -75,6 +84,17 @@ impl Worker {
     fn stderr_tail(&self) -> String {
         let tail = self.tail.lock().expect("stderr tail poisoned").clone();
         tail.replace(['\r', '\n'], " ").trim().to_string()
+    }
+
+    /// The worker's exit status, if it has exited.  A worker whose stderr
+    /// closed is waited for; any other is only polled, since it may be
+    /// wedged.
+    fn exit_status(&mut self) -> std::io::Result<Option<ExitStatus>> {
+        if self.stderr_closed {
+            self.child.wait().map(Some)
+        } else {
+            self.child.try_wait()
+        }
     }
 }
 
@@ -198,6 +218,8 @@ impl Fleet<'_> {
             .collect();
         let mut running: Vec<Worker> = Vec::new();
         let mut abandon: Option<String> = None;
+        // Each worker's stderr reader sends its task here on EOF.
+        let (closed_tx, closed_rx) = mpsc::channel();
 
         'fleet: while abandon.is_none() && (!pending.is_empty() || !running.is_empty()) {
             // Fill free worker slots, re-issues first (they sit at the front).
@@ -205,7 +227,7 @@ impl Fleet<'_> {
                 let Some(task) = pending.pop_front() else {
                     break;
                 };
-                match self.spawn_worker(task) {
+                match self.spawn_worker(task, closed_tx.clone()) {
                     Ok(worker) => running.push(worker),
                     Err(e) => {
                         abandon = Some(e);
@@ -213,10 +235,12 @@ impl Fleet<'_> {
                     }
                 }
             }
-            // Poll the fleet: reap exits, detect wedges.
+            // Sleep until a worker exits or a heartbeat deadline passes; then
+            // reap exits and detect wedges.
+            self.wait_for_event(&closed_rx, &mut running);
             let mut index = 0;
             while index < running.len() {
-                let exited = match running[index].child.try_wait() {
+                let exited = match running[index].exit_status() {
                     Ok(status) => status,
                     Err(e) => {
                         abandon = Some(format!("cannot poll a worker: {e}"));
@@ -254,7 +278,6 @@ impl Fleet<'_> {
                 }
                 index += 1;
             }
-            thread::sleep(std::time::Duration::from_millis(10));
         }
         // Whatever is still running is now pointless (job failed) or already
         // done (loop exited cleanly with an empty fleet).
@@ -365,7 +388,29 @@ impl Fleet<'_> {
         (cmd, out_path)
     }
 
-    fn spawn_worker(&self, task: ShardTask) -> Result<Worker, String> {
+    /// Blocks until a running worker's stderr closes or the earliest
+    /// heartbeat deadline passes, and marks every worker whose stderr has
+    /// closed.  Returns at once when no worker runs: the caller then has
+    /// slots to fill or nothing left to do.
+    fn wait_for_event(&self, closed: &Receiver<ShardTask>, running: &mut [Worker]) {
+        let Some(deadline) = running
+            .iter()
+            .map(|worker| *worker.heartbeat.lock().expect("heartbeat poisoned"))
+            .min()
+            .map(|beat| beat + self.cfg.heartbeat_timeout)
+        else {
+            return;
+        };
+        let first = closed.recv_timeout(deadline.saturating_duration_since(Instant::now()));
+        // A task no longer running belongs to a worker already reaped.
+        for task in first.into_iter().chain(closed.try_iter()) {
+            if let Some(worker) = running.iter_mut().find(|worker| worker.task == task) {
+                worker.stderr_closed = true;
+            }
+        }
+    }
+
+    fn spawn_worker(&self, task: ShardTask, closed: Sender<ShardTask>) -> Result<Worker, String> {
         let (mut cmd, out_path) = self.worker_command(task);
         let mut child = cmd.spawn().map_err(|e| {
             format!(
@@ -383,6 +428,7 @@ impl Fleet<'_> {
             let mut buf = [0u8; 512];
             loop {
                 match stderr.read(&mut buf) {
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Ok(0) | Err(_) => break,
                     Ok(n) => {
                         *beat.lock().expect("heartbeat poisoned") = Instant::now();
@@ -402,6 +448,8 @@ impl Fleet<'_> {
                     }
                 }
             }
+            // The fleet may have finished and dropped the receiver.
+            let _ = closed.send(task);
         });
         self.log.event(
             "shard-start",
@@ -423,6 +471,7 @@ impl Fleet<'_> {
             tail,
             out_path,
             reader: Some(reader),
+            stderr_closed: false,
         })
     }
 

@@ -7,6 +7,7 @@
 //! one-shot in-process sweep over the same seed range.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use semint_core::case::GenProfile;
@@ -184,6 +185,116 @@ fn killed_worker_slice_is_reissued_and_digests_still_converge() {
     assert!(log.contains("\"event\":\"shard-retry\""), "{log}");
     assert!(log.contains("exit code 42"), "{log}");
     assert!(log.contains("\"event\":\"job-done\""), "{log}");
+}
+
+#[test]
+fn wedged_worker_is_killed_at_the_heartbeat_deadline_and_reissued() {
+    let log_path = std::env::temp_dir().join(format!(
+        "semint-serve-test-{}-wedge.log",
+        std::process::id()
+    ));
+    let heartbeat_timeout = Duration::from_secs(1);
+    let cfg = ServeConfig {
+        heartbeat_timeout,
+        log_path: Some(log_path.clone()),
+        ..test_config()
+    };
+    let daemon = Daemon::spawn(cfg).expect("daemon spawns");
+    let addr = format!("127.0.0.1:{}", daemon.port());
+    // Shard 1's first attempt goes silent after 2 scenarios but never
+    // exits, so its stderr stays open: only the heartbeat deadline can
+    // wake the fleet to kill it.
+    let started = Instant::now();
+    let job = submit(
+        &addr,
+        job_spec(Some(FaultPlan {
+            shard: 1,
+            after: 2,
+            kind: FaultKind::Wedge,
+        })),
+    );
+    let status = wait_for_job(&addr, job);
+    let took = started.elapsed();
+    assert_eq!(status.state, "done", "error: {:?}", status.error);
+    assert_eq!(status.retries, 1, "exactly the wedged worker is re-issued");
+    assert!(
+        took >= heartbeat_timeout,
+        "the wedge was declared after {took:?}, before the {heartbeat_timeout:?} deadline"
+    );
+    assert_matches_baseline(&status, "wedge recovery");
+    shutdown_and_join(&addr, daemon);
+    let log = std::fs::read_to_string(&log_path).expect("daemon log written");
+    let _ = std::fs::remove_file(&log_path);
+    assert!(log.contains("wedged (no heartbeat for 1000 ms)"), "{log}");
+}
+
+/// How long one daemon lifecycle round may take before the test calls it
+/// hung.
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+/// Runs `round` on its own thread and fails the test if it does not finish
+/// within [`WATCHDOG`]: a lost wake-up leaves a daemon thread blocked
+/// forever, which must fail the test rather than stall it.
+fn under_watchdog(what: &str, round: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        round();
+        let _ = done_tx.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(WATCHDOG) {
+        panic!("{what}: the daemon did not stop within {WATCHDOG:?}");
+    }
+    if let Err(panic) = handle.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Submits a small job, asks for shutdown at once, and joins: the daemon
+/// drains before it exits, so the job must have finished.
+fn submit_then_shutdown(round: u32) {
+    let log_path = std::env::temp_dir().join(format!(
+        "semint-serve-test-{}-lifecycle-{round}.log",
+        std::process::id()
+    ));
+    let cfg = ServeConfig {
+        log_path: Some(log_path.clone()),
+        ..test_config()
+    };
+    let daemon = Daemon::spawn(cfg).expect("daemon spawns");
+    let addr = format!("127.0.0.1:{}", daemon.port());
+    let spec = JobSpec {
+        seeds: (0, 2),
+        shards: 1,
+        ..job_spec(None)
+    };
+    submit(&addr, spec);
+    shutdown_and_join(&addr, daemon);
+    let log = std::fs::read_to_string(&log_path).expect("daemon log written");
+    let _ = std::fs::remove_file(&log_path);
+    assert!(log.contains("\"event\":\"job-done\""), "{log}");
+}
+
+#[test]
+fn daemon_stops_promptly_on_drop_on_idle_shutdown_and_after_a_drained_job() {
+    for round in 0..50u32 {
+        under_watchdog(&format!("round {round}: drop while idle"), || {
+            let daemon = Daemon::spawn(test_config()).expect("daemon spawns");
+            // A ping first, so that the drop finds the scheduler waiting
+            // for work rather than still starting up.
+            let addr = format!("127.0.0.1:{}", daemon.port());
+            assert!(matches!(call(&addr, &Request::Ping), Ok(Response::Ok)));
+            drop(daemon);
+        });
+        under_watchdog(&format!("round {round}: shutdown while idle"), || {
+            let daemon = Daemon::spawn(test_config()).expect("daemon spawns");
+            let addr = format!("127.0.0.1:{}", daemon.port());
+            shutdown_and_join(&addr, daemon);
+        });
+        under_watchdog(
+            &format!("round {round}: shutdown after a submit"),
+            move || submit_then_shutdown(round),
+        );
+    }
 }
 
 #[test]
