@@ -147,6 +147,7 @@ FAULT INJECTION (testing):
                      a deterministic injected crash
     --wedge-after N  (sweep) go silent mid-sweep after N scenarios without
                      exiting — only the heartbeat timeout catches it
+                     (an orphaned worker exits once its parent dies)
     --corrupt-save MODE  (sweep) sabotage the --save report after writing it:
                      `garbage` replaces it wholesale, `truncate` cuts it
                      mid-line so it cannot parse

@@ -16,8 +16,9 @@
 //!    after the resume — recovery re-issues only unaccounted slices.
 //!
 //! Every round gets its own state dir under [`ChaosConfig::state_root`];
-//! the journal and `serve.log` are left behind for post-mortems (CI
-//! uploads them as artifacts).
+//! the journal, `serve.log` and the scratch files of killed daemons (in
+//! `tmp/`) are left behind for post-mortems (CI uploads them as
+//! artifacts).
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
@@ -153,10 +154,18 @@ impl Drop for DaemonProc {
 }
 
 /// Spawns a daemon over `state_dir` and blocks until it prints its
-/// listening banner (so the port is known and the socket is live).
+/// listening banner (so the port is known and the socket is live).  The
+/// daemon's temporary directory is `state_dir/tmp`, so the scratch files a
+/// SIGKILL leaves behind stay with the round, and every worker's `--save`
+/// path names the state dir.
 fn spawn_daemon(cfg: &ChaosConfig, state_dir: &Path, resume: bool) -> Result<DaemonProc, String> {
+    let tmp = state_dir.join("tmp");
+    let tmp = std::fs::create_dir_all(&tmp)
+        .and_then(|()| std::fs::canonicalize(&tmp))
+        .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
     let mut command = Command::new(&cfg.binary);
     command
+        .env("TMPDIR", &tmp)
         .arg("serve")
         .args(["--port", "0"])
         .args(["--workers", &cfg.workers.to_string()])

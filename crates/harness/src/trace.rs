@@ -50,6 +50,17 @@ const PROGRESS_MIN_INTERVAL_US: u64 = 100_000;
 /// deterministically.
 pub const FAULT_EXIT_CODE: i32 = 42;
 
+/// How often a `--wedge-after` worker checks whether it has been orphaned.
+const WEDGE_ORPHAN_POLL: std::time::Duration = std::time::Duration::from_millis(100);
+
+/// The parent process id, where the platform has one to offer.
+fn parent_pid() -> Option<u32> {
+    #[cfg(unix)]
+    return Some(std::os::unix::process::parent_id());
+    #[cfg(not(unix))]
+    return None;
+}
+
 /// Shared observation sink for one sweep: counts scenarios as workers
 /// finish them, streams JSONL events to the trace writer thread, and
 /// renders the rolling progress line.  `Sync` — one instance is shared by
@@ -132,7 +143,8 @@ impl SweepObserver {
     /// finishes the `n`-th scenario goes silent and never returns, and all
     /// further progress output is muted — the process keeps running but
     /// stops heartbeating, so a supervisor's only remedy is its heartbeat
-    /// timeout.  `None` disarms (the default).
+    /// timeout.  If the supervisor dies first, the orphaned process exits
+    /// with [`FAULT_EXIT_CODE`].  `None` disarms (the default).
     pub fn with_wedge(mut self, wedge_after: Option<u64>) -> SweepObserver {
         self.wedge_after = wedge_after;
         self
@@ -154,8 +166,15 @@ impl SweepObserver {
             // its report, or exit.  Only a heartbeat timeout catches it.
             eprintln!("[fault] --wedge-after {done}: worker going silent (injected wedge)");
             self.wedged.store(true, Ordering::SeqCst);
+            // Unless its supervisor dies first (a SIGKILLed daemon cannot
+            // kill it): an orphan is reparented, and exits rather than
+            // sleep forever.
+            let parent = parent_pid();
             loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
+                std::thread::sleep(WEDGE_ORPHAN_POLL);
+                if parent_pid() != parent {
+                    std::process::exit(FAULT_EXIT_CODE);
+                }
             }
         }
         if record.failure.is_none() {

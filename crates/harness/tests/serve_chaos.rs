@@ -50,3 +50,70 @@ fn killed_and_resumed_daemon_matches_the_uninterrupted_sweep() {
     }
     let _ = std::fs::remove_dir_all(&state_root);
 }
+
+/// Pids and command lines of the live processes whose command line
+/// mentions `needle` (Linux `/proc`; zombies have an empty command line).
+#[cfg(target_os = "linux")]
+fn processes_naming(needle: &str) -> Vec<(u32, String)> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir("/proc")
+        .expect("/proc is readable")
+        .flatten()
+    {
+        let Ok(pid) = entry.file_name().to_string_lossy().parse::<u32>() else {
+            continue;
+        };
+        let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else {
+            continue;
+        };
+        let cmdline = String::from_utf8_lossy(&raw).replace('\0', " ");
+        if pid != std::process::id() && cmdline.contains(needle) {
+            found.push((pid, cmdline));
+        }
+    }
+    found
+}
+
+/// A drill whose daemon is SIGKILLed while a wedged worker is alive must
+/// not leave that worker behind: with `--seed 3` and four shards, rounds 0
+/// and 1 kill the daemon before the heartbeat deadline of a wedged shard.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_drill_leaves_no_worker_alive() {
+    let state_root =
+        std::env::temp_dir().join(format!("semint-chaos-orphans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_root);
+    let cfg = ChaosConfig {
+        binary: PathBuf::from(env!("CARGO_BIN_EXE_semint")),
+        seed: 3,
+        rounds: 3,
+        seeds: (0, 40),
+        profile: "default".into(),
+        case: "all".into(),
+        shards: 4,
+        jobs: 1,
+        workers: 4,
+        batch: 1,
+        worker_timeout_ms: 5_000,
+        state_root: state_root.clone(),
+        echo: false,
+    };
+    let outcomes = run_drills(&cfg).expect("the drill runs to completion");
+    assert!(outcomes.iter().all(|o| o.invariant_holds()));
+    let needle = state_root.to_string_lossy().into_owned();
+    // An orphaned worker notices its new parent within its poll interval.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut alive = processes_naming(&needle);
+    while !alive.is_empty() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        alive = processes_naming(&needle);
+    }
+    for (pid, _) in &alive {
+        let _ = std::process::Command::new("kill")
+            .arg("-9")
+            .arg(pid.to_string())
+            .status();
+    }
+    assert!(alive.is_empty(), "processes outlived the drill: {alive:#?}");
+    let _ = std::fs::remove_dir_all(&state_root);
+}

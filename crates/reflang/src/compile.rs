@@ -106,7 +106,7 @@ pub fn compile_hl(
         HlExpr::Snd(e1) => compile_hl(ctx, e1, emitter)?
             .then_instr(Instr::push_num(1))
             .then_instr(Instr::Idx),
-        HlExpr::If(c, t, f) => compile_hl(ctx, c, emitter)?.then_instr(Instr::If0(
+        HlExpr::If(c, t, f) => compile_hl(ctx, c, emitter)?.then_instr(Instr::if0(
             compile_hl(ctx, t, emitter)?,
             compile_hl(ctx, f, emitter)?,
         )),
@@ -117,13 +117,13 @@ pub fn compile_hl(
             .then_instr(swap())
             .then_instr(Instr::push_num(0))
             .then_instr(Instr::Idx)
-            .then_instr(Instr::If0(
-                Program::single(Instr::Lam(vec![x.clone()], compile_hl(ctx, l, emitter)?)),
-                Program::single(Instr::Lam(vec![y.clone()], compile_hl(ctx, r, emitter)?)),
+            .then_instr(Instr::if0(
+                Program::single(Instr::lam1(x.clone(), compile_hl(ctx, l, emitter)?)),
+                Program::single(Instr::lam1(y.clone(), compile_hl(ctx, r, emitter)?)),
             )),
         HlExpr::Lam(x, ty, body) => {
-            Program::single(Instr::push_thunk(Program::single(Instr::Lam(
-                vec![x.clone()],
+            Program::single(Instr::push_thunk(Program::single(Instr::lam1(
+                x.clone(),
                 compile_hl(&ctx.with_hl(x.clone(), ty.clone()), body, emitter)?,
             ))))
         }
@@ -185,8 +185,8 @@ pub fn compile_ll(
             .then(compile_ll(ctx, i, emitter)?)
             .then_instr(Instr::Idx),
         LlExpr::Lam(x, ty, body) => {
-            Program::single(Instr::push_thunk(Program::single(Instr::Lam(
-                vec![x.clone()],
+            Program::single(Instr::push_thunk(Program::single(Instr::lam1(
+                x.clone(),
                 compile_ll(&ctx.with_ll(x.clone(), ty.clone()), body, emitter)?,
             ))))
         }
@@ -198,7 +198,7 @@ pub fn compile_ll(
             .then(compile_ll(ctx, b, emitter)?)
             .then_instr(swap())
             .then_instr(Instr::Add),
-        LlExpr::If0(c, t, f) => compile_ll(ctx, c, emitter)?.then_instr(Instr::If0(
+        LlExpr::If0(c, t, f) => compile_ll(ctx, c, emitter)?.then_instr(Instr::if0(
             compile_ll(ctx, t, emitter)?,
             compile_ll(ctx, f, emitter)?,
         )),

@@ -173,7 +173,7 @@ fn sum_to_array(c1: &Program, c2: &Program) -> Program {
         Instr::push_num(0),
         Instr::Idx, // [payload, tag]
         dup(),      // [payload, tag, tag]
-        Instr::If0(
+        Instr::if0(
             Program::single(swap()).then(c1.clone()), // [tag, payload']
             Program::single(swap()).then(c2.clone()),
         ),
@@ -190,7 +190,7 @@ fn array_to_sum(c1: &Program, c2: &Program) -> Program {
         Instr::Len,
         Instr::push_num(2),
         Instr::Less, // pops 2, len: 0 (true) iff len < 2
-        Instr::If0(
+        Instr::if0(
             Program::single(Instr::Fail(ErrorCode::Conv)),
             Program::from(vec![
                 dup(),
@@ -200,13 +200,13 @@ fn array_to_sum(c1: &Program, c2: &Program) -> Program {
                 Instr::push_num(0),
                 Instr::Idx, // [payload, tag]
                 dup(),
-                Instr::If0(
+                Instr::if0(
                     Program::single(swap()).then(c1.clone()),
                     Program::from(vec![
                         dup(),
                         Instr::push_num(-1),
                         Instr::Add,
-                        Instr::If0(
+                        Instr::if0(
                             Program::single(swap()).then(c2.clone()),
                             Program::single(Instr::Fail(ErrorCode::Conv)),
                         ),
@@ -223,8 +223,8 @@ fn array_to_sum(c1: &Program, c2: &Program) -> Program {
 fn repack_tagged() -> Instr {
     let xv = semint_core::Var::new("conv%xv");
     let xt = semint_core::Var::new("conv%xt");
-    Instr::Lam(
-        vec![xv.clone(), xt.clone()],
+    Instr::lam(
+        [xv.clone(), xt.clone()],
         Program::single(Instr::Push(stacklang::Operand::Array(vec![
             stacklang::Operand::Var(xt),
             stacklang::Operand::Var(xv),
@@ -244,7 +244,7 @@ fn array_to_prod(c1: &Program, c2: &Program) -> Program {
         Instr::Len,
         Instr::push_num(2),
         Instr::Less,
-        Instr::If0(
+        Instr::if0(
             Program::single(Instr::Fail(ErrorCode::Conv)),
             convert_two_elements(c1, c2),
         ),

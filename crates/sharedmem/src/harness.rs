@@ -9,9 +9,17 @@ use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats, Outcome};
-use stacklang::{Heap, Machine, Program, RunResult};
+use stacklang::{Machine, Program, RunResult};
 
 pub use crate::multilang::SmProgram;
+
+/// Fuel for the Theorem 3.4 type-safety run of a compiled scenario.
+const TYPE_SAFETY_FUEL: u64 = 200_000;
+
+/// The step index `W.k` a compiled scenario is checked against `E⟦τ⟧` at;
+/// at most [`TYPE_SAFETY_FUEL`], so the type-safety run decides it too.
+const EXPR_STEP_INDEX: u64 = 20_000;
+const _: () = assert!(EXPR_STEP_INDEX <= TYPE_SAFETY_FUEL);
 
 /// Case study 1 packaged for the harness engine.
 ///
@@ -182,15 +190,21 @@ impl CaseStudy for SharedMemCase {
         }
     }
 
+    /// One run of `compiled` from the empty configuration decides both
+    /// checks: its outcome is the type-safety verdict, and, because its
+    /// fuel covers the expression relation's step index, it is also the run
+    /// `E⟦τ⟧` judges (see [`ModelChecker::run_in_expr`]).
     fn model_check_compiled(
         &self,
         program: &SmProgram,
         ty: &SourceType,
         compiled: &Program,
     ) -> Result<(), CheckFailure> {
+        let result = Machine::run_program(compiled.clone(), Fuel::steps(TYPE_SAFETY_FUEL));
+
         // Theorems 3.3/3.4: no dynamic type errors.
         self.checker
-            .check_type_safety(compiled, Fuel::steps(200_000))
+            .run_is_type_safe(compiled, &result)
             .map_err(|ce| CheckFailure {
                 claim: ce.claim,
                 witness: program.to_string(),
@@ -201,8 +215,8 @@ impl CaseStudy for SharedMemCase {
         // its claimed type (the *broken* rule set claims bool-typed programs
         // at [int], which is where the sabotage surfaces).
         let sem_ty = self.claimed_sem_type(ty);
-        let world = World::new(20_000);
-        if !self.checker.expr_in(&world, Heap::new(), compiled, &sem_ty) {
+        let world = World::new(EXPR_STEP_INDEX);
+        if !self.checker.run_in_expr(&world, &result, &sem_ty) {
             return Err(CheckFailure {
                 claim: format!("compiled program ∈ E⟦{sem_ty}⟧"),
                 witness: program.to_string(),
@@ -280,6 +294,8 @@ impl CaseStudy for SharedMemCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semint_core::ErrorCode;
+    use stacklang::{Heap, Instr};
 
     #[test]
     fn scenarios_typecheck_at_their_claimed_type() {
@@ -315,6 +331,79 @@ mod tests {
                 .unwrap_or_else(|f| {
                     panic!("seed {seed}: {f}");
                 });
+        }
+    }
+
+    /// The model check as it was before it shared one run: a type-safety
+    /// run with 200k fuel, then a separate `E⟦τ⟧` run with `W.k` fuel.
+    fn two_run_verdict(
+        case: &SharedMemCase,
+        program: &SmProgram,
+        ty: &SourceType,
+        compiled: &Program,
+    ) -> Result<(), CheckFailure> {
+        case.checker
+            .check_type_safety(compiled, Fuel::steps(TYPE_SAFETY_FUEL))
+            .map_err(|ce| CheckFailure {
+                claim: ce.claim,
+                witness: program.to_string(),
+                reason: ce.reason,
+            })?;
+        let sem_ty = case.claimed_sem_type(ty);
+        let world = World::new(EXPR_STEP_INDEX);
+        if !case.checker.expr_in(&world, Heap::new(), compiled, &sem_ty) {
+            return Err(CheckFailure {
+                claim: format!("compiled program ∈ E⟦{sem_ty}⟧"),
+                witness: program.to_string(),
+                reason: "run result is not in the expression relation".into(),
+            });
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn one_run_model_check_agrees_with_the_two_run_check() {
+        let mut rejected = 0;
+        for case in [SharedMemCase::standard(), SharedMemCase::broken()] {
+            for name in ["default", "deep", "boundary-heavy"] {
+                let profile = GenProfile::by_name(name).expect("preset");
+                for seed in 0..40 {
+                    let scen = case.generate(seed, &profile);
+                    let compiled = case.compile(&scen.program).expect("compiles");
+                    let one = case.model_check_compiled(&scen.program, &scen.ty, &compiled);
+                    let two = two_run_verdict(&case, &scen.program, &scen.ty, &compiled);
+                    assert_eq!(one, two, "{name} seed {seed}");
+                    rejected += usize::from(one.is_err());
+                }
+            }
+        }
+        assert!(
+            rejected > 0,
+            "the broken rule set must be rejected somewhere"
+        );
+    }
+
+    #[test]
+    fn the_expression_verdict_of_a_long_run_matches_a_budgeted_run() {
+        // A run longer than W.k falls under the out-of-budget clause, even
+        // when it ends in a type error the W.k-fuel run never reaches.
+        let checker = ModelChecker::default();
+        let ty = SemType::Hl(HlType::Bool);
+        let mut slow = vec![Instr::push_num(0)];
+        for _ in 0..30 {
+            slow.extend([Instr::push_num(1), Instr::Add]);
+        }
+        for tail in [Instr::Add, Instr::Fail(ErrorCode::Conv), Instr::push_num(3)] {
+            let program = Program::from(slow.clone()).then_instr(tail);
+            let long = Machine::run_program(program.clone(), Fuel::steps(1_000));
+            for k in [0, 1, 30, 60, 61, 62, 63, 1_000] {
+                let world = World::new(k);
+                assert_eq!(
+                    checker.run_in_expr(&world, &long, &ty),
+                    checker.expr_in(&world, Heap::new(), &program, &ty),
+                    "k = {k}, program {program}"
+                );
+            }
         }
     }
 

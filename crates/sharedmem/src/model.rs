@@ -13,13 +13,22 @@
 //!   the universal quantification over future worlds/arguments in the
 //!   function case is approximated by a finite suite of canonical arguments
 //!   and a bounded recursion depth;
-//! * membership `(W, P) ∈ E⟦τ⟧` ([`ModelChecker::expr_in`]) runs the machine
-//!   for at most `W.k` steps and checks the escape clauses of the expression
-//!   relation exactly as written (benign failure, out of budget, or a value
-//!   in `V⟦τ⟧` under an extended world);
+//! * membership `(W, P) ∈ E⟦τ⟧` ([`ModelChecker::expr_in`]) runs `P` on the
+//!   StackLang machine for at most `W.k` steps and checks the escape
+//!   clauses of the expression relation exactly as written (benign
+//!   failure, out of budget, or a value in `V⟦τ⟧` under an extended world).
+//!   The verdict is a function of the finished run alone
+//!   ([`ModelChecker::run_in_expr`]), so any run given at least `W.k` steps
+//!   of fuel decides it: a run that took more than `W.k` steps is the
+//!   out-of-budget clause, and a shorter one is the run `W.k` fuel gives;
 //! * [`ModelChecker::check_convertibility`] is the executable content of
 //!   Lemma 3.1 (Convertibility Soundness), and
 //!   [`ModelChecker::check_type_safety`] of Theorem 3.4.
+//!
+//! A thunk value here is a StackLang closure: shared code plus the
+//! environment it was pushed in.  Applying one to a sampled argument
+//! (`push arg, push thunk, call`) or running glue on a sampled value copies
+//! no code, and cloning a heap that holds thunks bumps reference counts.
 //!
 //! The positive direction (a term *is* in the relation) is approximate —
 //! quantifiers are sampled — but the negative direction is exact: when the
@@ -31,7 +40,7 @@
 use crate::convert::SharedMemConversions;
 use reflang::syntax::{HlType, LlType};
 use semint_core::{ErrorCode, Fuel, Outcome, StepIndex};
-use stacklang::{Heap, Instr, Loc, Machine, Program, StackState, Value};
+use stacklang::{Heap, Instr, Loc, Machine, Program, RunResult, StackState, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -326,10 +335,9 @@ impl ModelChecker {
         cod: &SemType,
         depth: usize,
     ) -> bool {
-        let thunk_prog = match v {
-            Value::Thunk(p) => p.clone(),
-            _ => return false,
-        };
+        if !matches!(v, Value::Thunk(_)) {
+            return false;
+        }
         if depth == 0 {
             // Budget for nested function exploration exhausted: accept the
             // shape (this is the approximate positive direction).
@@ -338,8 +346,8 @@ impl ModelChecker {
         for arg in self.sample_values(dom, depth - 1) {
             // Application protocol (Fig. 3): argument below the thunk, `call`.
             let program = Program::from(vec![
-                Instr::push_val(arg.clone()),
-                Instr::push_val(Value::Thunk(thunk_prog.clone())),
+                Instr::push_val(arg),
+                Instr::push_val(v.clone()),
                 Instr::Call,
             ]);
             if !self.expr_in_with_depth(world, heap.clone(), &program, cod, depth - 1) {
@@ -364,8 +372,33 @@ impl ModelChecker {
     ) -> bool {
         let machine = Machine::with_state(heap, StackState::empty(), program.clone());
         let result = machine.run(Fuel::steps(world.k.get()));
-        match result.outcome {
+        self.run_in_expr_with_depth(world, &result, ty, depth)
+    }
+
+    /// `(W, P) ∈ E⟦ty⟧`, decided from a finished run of `P` that started
+    /// from a heap satisfying `W` with **at least** `W.k` steps of fuel.
+    /// Such a run agrees with the `W.k`-fuel run [`ModelChecker::expr_in`]
+    /// makes whenever it took at most `W.k` steps, and otherwise falls under
+    /// the out-of-budget escape clause — so one run can serve both this
+    /// check and [`ModelChecker::check_type_safety`]'s larger budget.
+    pub fn run_in_expr(&self, world: &World, result: &RunResult, ty: &SemType) -> bool {
+        self.run_in_expr_with_depth(world, result, ty, self.fun_depth)
+    }
+
+    fn run_in_expr_with_depth(
+        &self,
+        world: &World,
+        result: &RunResult,
+        ty: &SemType,
+        depth: usize,
+    ) -> bool {
+        let k = world.k.get();
+        if result.steps > k {
             // Ran longer than the step budget: no constraint (escape clause).
+            return true;
+        }
+        match &result.outcome {
+            // The budget ran out (after exactly `W.k` steps): escape clause.
             Outcome::OutOfFuel => true,
             // Well-defined errors are allowed by the §3 expression relation.
             Outcome::Fail(ErrorCode::Conv) | Outcome::Fail(ErrorCode::Idx) => true,
@@ -373,12 +406,11 @@ impl ModelChecker {
             Outcome::Value(v) => {
                 // Build the future world: the budget shrinks by the steps
                 // taken; existing heap-typing entries persist.
-                let k_left = world.k.get().saturating_sub(result.steps);
                 let future = World {
-                    k: StepIndex::new(k_left),
+                    k: StepIndex::new(k - result.steps),
                     heap_typing: world.heap_typing.clone(),
                 };
-                self.value_in_depth(&future, &result.heap, &v, ty, depth)
+                self.value_in_depth(&future, &result.heap, v, ty, depth)
             }
         }
     }
@@ -422,9 +454,9 @@ impl ModelChecker {
             SemType::Ll(LlType::Array(elem)) => {
                 let es = self.sample_values(&SemType::Ll((**elem).clone()), depth);
                 vec![
-                    Value::Array(vec![]),
-                    Value::Array(es.iter().take(2).cloned().collect()),
-                    Value::Array(es.into_iter().take(3).collect()),
+                    Value::array([]),
+                    Value::array(es.iter().take(2).cloned()),
+                    Value::array(es.into_iter().take(3)),
                 ]
             }
             SemType::Hl(HlType::Fun(_, b)) => {
@@ -432,24 +464,14 @@ impl ModelChecker {
                 self.sample_values(&SemType::Hl((**b).clone()), depth)
                     .into_iter()
                     .take(2)
-                    .map(|v| {
-                        Value::Thunk(Program::single(Instr::Lam(
-                            vec![semint_core::Var::new("ignored")],
-                            Program::single(Instr::push_val(v)),
-                        )))
-                    })
+                    .map(constant_function)
                     .collect()
             }
             SemType::Ll(LlType::Fun(_, b)) => self
                 .sample_values(&SemType::Ll((**b).clone()), depth)
                 .into_iter()
                 .take(2)
-                .map(|v| {
-                    Value::Thunk(Program::single(Instr::Lam(
-                        vec![semint_core::Var::new("ignored")],
-                        Program::single(Instr::push_val(v)),
-                    )))
-                })
+                .map(constant_function)
                 .collect(),
             // Reference samples require a heap; convertibility checks build
             // them explicitly (see `check_convertibility`), so none here.
@@ -518,7 +540,16 @@ impl ModelChecker {
     /// compiled program: it must run to a value, a benign failure, or out of
     /// fuel — never a dynamic type error.
     pub fn check_type_safety(&self, program: &Program, fuel: Fuel) -> Result<(), CounterExample> {
-        let result = Machine::run_program(program.clone(), fuel);
+        self.run_is_type_safe(program, &Machine::run_program(program.clone(), fuel))
+    }
+
+    /// [`ModelChecker::check_type_safety`]'s verdict on an existing run of
+    /// `program` from the empty configuration.
+    pub fn run_is_type_safe(
+        &self,
+        program: &Program,
+        result: &RunResult,
+    ) -> Result<(), CounterExample> {
         if result.outcome.is_safe() {
             Ok(())
         } else {
@@ -529,6 +560,14 @@ impl ModelChecker {
             })
         }
     }
+}
+
+/// `thunk (lam ignored. push v)`: a function sample returning `v`.
+fn constant_function(v: Value) -> Value {
+    Value::thunk(Program::single(Instr::lam1(
+        "ignored",
+        Program::single(Instr::push_val(v)),
+    )))
 }
 
 fn ref_payload(ty: &SemType) -> Option<SemType> {
@@ -577,7 +616,7 @@ mod tests {
         assert!(!c.value_in(&w, &h, &Value::Num(3), &SemType::Hl(HlType::Unit)));
         // bool: every integer, nothing else.
         assert!(c.value_in(&w, &h, &Value::Num(17), &SemType::Hl(HlType::Bool)));
-        assert!(!c.value_in(&w, &h, &Value::Array(vec![]), &SemType::Hl(HlType::Bool)));
+        assert!(!c.value_in(&w, &h, &Value::array([]), &SemType::Hl(HlType::Bool)));
         // int likewise.
         assert!(c.value_in(&w, &h, &Value::Num(-4), &SemType::Ll(LlType::Int)));
     }
@@ -596,14 +635,14 @@ mod tests {
         assert!(!c.value_in(&w, &h, &Value::array([Value::Num(2), Value::Num(0)]), &sum));
 
         let arr = SemType::Ll(LlType::array(LlType::Int));
-        assert!(c.value_in(&w, &h, &Value::Array(vec![]), &arr));
+        assert!(c.value_in(&w, &h, &Value::array([]), &arr));
         assert!(c.value_in(
             &w,
             &h,
             &Value::array([Value::Num(1), Value::Num(2), Value::Num(3)]),
             &arr
         ));
-        assert!(!c.value_in(&w, &h, &Value::array([Value::Array(vec![])]), &arr));
+        assert!(!c.value_in(&w, &h, &Value::array([Value::array([])]), &arr));
     }
 
     #[test]
@@ -656,17 +695,17 @@ mod tests {
         let w = World::new(10_000);
         let h = Heap::new();
         // thunk (lam x. push x) : bool → bool (the identity).
-        let ident = Value::Thunk(Program::single(Instr::Lam(
-            vec![semint_core::Var::new("x")],
+        let ident = Value::thunk(Program::single(Instr::lam1(
+            "x",
             Program::single(Instr::push_var("x")),
         )));
         let ty = SemType::Hl(HlType::fun(HlType::Bool, HlType::Bool));
         assert!(c.value_in(&w, &h, &ident, &ty));
         // A function that ignores its argument and returns an array is not a
         // bool → bool.
-        let bad = Value::Thunk(Program::single(Instr::Lam(
-            vec![semint_core::Var::new("x")],
-            Program::single(Instr::push_val(Value::Array(vec![]))),
+        let bad = Value::thunk(Program::single(Instr::lam1(
+            "x",
+            Program::single(Instr::push_val(Value::array([]))),
         )));
         assert!(!c.value_in(&w, &h, &bad, &ty));
         // But it *is* a bool → [int].
@@ -692,7 +731,7 @@ mod tests {
         let p = Program::single(Instr::Add);
         assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
         // A value of the wrong shape is rejected.
-        let p = Program::single(Instr::push_val(Value::Array(vec![])));
+        let p = Program::single(Instr::push_val(Value::array([])));
         assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
         // A long-running program exhausts the budget and is accepted.
         let mut instrs = vec![Instr::push_num(0)];

@@ -18,7 +18,7 @@
 //! gave — which the executable model checkers rely on when comparing heaps
 //! against heap typings.
 
-use crate::instr::Value;
+use crate::value::Value;
 use std::fmt;
 
 /// A heap location `ℓ`.

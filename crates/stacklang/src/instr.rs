@@ -1,89 +1,32 @@
-//! StackLang syntax: values, operands, instructions and programs (Fig. 2).
+//! StackLang syntax: operands, instructions, blocks and programs (Fig. 2).
+//!
+//! Code is built once and then shared.  A [`Program`] is the growable
+//! builder the compilers append to; every block nested in an instruction
+//! (an `if0` branch, a `lam` body, a thunk literal) is a [`Block`], an
+//! `Arc<[Instr]>` frozen when the instruction is built.  Cloning an
+//! instruction, a block or a thunk therefore copies no nested code, and the
+//! machine runs blocks in place ([`crate::Machine`]).
 //!
 //! The one divergence from the figure's concrete syntax is that `push`
-//! operands are split into literal values and variables: compiled code pushes
-//! variables (`push x`) which are later replaced by values when an enclosing
-//! `lam x. P` performs substitution.  The paper folds variables into the value
-//! grammar implicitly; separating them keeps "closed program" a checkable
-//! property ([`Program::is_closed`]).
+//! operands are split into literal values and variables: compiled code
+//! pushes variables (`push x`) that an enclosing `lam x. P` binds.  The
+//! paper folds variables into the value grammar implicitly; separating them
+//! keeps "closed program" a checkable property ([`Program::is_closed`]).
 
-use crate::heap::Loc;
+use crate::value::{Closure, Value};
 use semint_core::{ErrorCode, Var};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// StackLang values `v ::= n | thunk P | ℓ | [v, …]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// An integer.
-    Num(i64),
-    /// A suspended computation, resumed with `call`.
-    Thunk(Program),
-    /// A heap location.
-    Loc(Loc),
-    /// An array of values.
-    Array(Vec<Value>),
-}
-
-impl Value {
-    /// The integer carried by a `Num`, if any.
-    pub fn as_num(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The location carried by a `Loc`, if any.
-    pub fn as_loc(&self) -> Option<Loc> {
-        match self {
-            Value::Loc(l) => Some(*l),
-            _ => None,
-        }
-    }
-
-    /// The elements of an `Array`, if any.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(vs) => Some(vs),
-            _ => None,
-        }
-    }
-
-    /// An array value from an iterator of values.
-    pub fn array(vs: impl IntoIterator<Item = Value>) -> Value {
-        Value::Array(vs.into_iter().collect())
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Thunk(p) => write!(f, "thunk {{{p}}}"),
-            Value::Loc(l) => write!(f, "{l}"),
-            Value::Array(vs) => {
-                write!(f, "[")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-        }
-    }
-}
-
-/// The operand of a `push`: a literal value, a variable awaiting
-/// substitution by an enclosing `lam`, or an array template whose elements
-/// are themselves operands.
+/// The operand of a `push`: a literal value, a variable bound by an
+/// enclosing `lam`, or an array template whose elements are themselves
+/// operands.
 ///
 /// Array templates let us write the paper's `push [x₁, x₂]` (Fig. 3): the
-/// variables are resolved by `lam` substitution, and by the time the push
-/// executes the template must be fully literal (otherwise the program was
-/// open and the machine raises `fail Type`).
+/// variables are looked up when the push executes, and a variable with no
+/// binding (the program was open) makes the machine raise `fail Type`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operand {
     /// A literal value.
@@ -92,44 +35,6 @@ pub enum Operand {
     Var(Var),
     /// An array literal whose elements may mention variables.
     Array(Vec<Operand>),
-}
-
-impl Operand {
-    /// Resolves a fully-substituted operand into a value.
-    ///
-    /// Returns `None` if any variable remains (the program was open).
-    pub fn resolve(&self) -> Option<Value> {
-        match self {
-            Operand::Lit(v) => Some(v.clone()),
-            Operand::Var(_) => None,
-            Operand::Array(ops) => {
-                let mut vs = Vec::with_capacity(ops.len());
-                for op in ops {
-                    vs.push(op.resolve()?);
-                }
-                Some(Value::Array(vs))
-            }
-        }
-    }
-}
-
-impl fmt::Display for Operand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Lit(v) => write!(f, "{v}"),
-            Operand::Var(x) => write!(f, "{x}"),
-            Operand::Array(ops) => {
-                write!(f, "[")?;
-                for (i, o) in ops.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{o}")?;
-                }
-                write!(f, "]")
-            }
-        }
-    }
 }
 
 /// StackLang instructions (Fig. 2).
@@ -142,10 +47,10 @@ pub enum Instr {
     /// `less?`: pop `n'`, `n`, push `0` if `n < n'` else `1`.
     Less,
     /// `if0 P1 P2`: pop `n`, continue with `P1` if `n = 0`, else `P2`.
-    If0(Program, Program),
+    If0(Block, Block),
     /// `lam x₁,…,xₖ. P`: pop one value per binder (leftmost binder takes the
-    /// top of the stack) and substitute them into `P`.
-    Lam(Vec<Var>, Program),
+    /// top of the stack) and run `P` with them bound.
+    Lam(Arc<[Var]>, Block),
     /// `call`: pop a thunk and continue with its program.
     Call,
     /// `idx`: pop `n`, an array, push the `n`-th element (`fail Idx` if out of
@@ -180,48 +85,71 @@ impl Instr {
         Instr::Push(Operand::Var(x.into()))
     }
 
-    /// `lam x. P` with a single binder.
-    pub fn lam1(x: impl Into<Var>, body: Program) -> Instr {
-        Instr::Lam(vec![x.into()], body)
+    /// `lam x₁,…,xₖ. P`, binders listed top of stack first.
+    pub fn lam(binders: impl IntoIterator<Item = Var>, body: impl Into<Block>) -> Instr {
+        Instr::Lam(binders.into_iter().collect(), body.into())
     }
 
-    /// `push (thunk P)`.
-    pub fn push_thunk(p: Program) -> Instr {
-        Instr::Push(Operand::Lit(Value::Thunk(p)))
+    /// `lam x. P` with a single binder.
+    pub fn lam1(x: impl Into<Var>, body: impl Into<Block>) -> Instr {
+        Instr::lam([x.into()], body)
+    }
+
+    /// `if0 P1 P2`.
+    pub fn if0(zero: impl Into<Block>, nonzero: impl Into<Block>) -> Instr {
+        Instr::If0(zero.into(), nonzero.into())
+    }
+
+    /// `push (thunk P)`: when it runs, the thunk closes over the bindings in
+    /// scope.
+    pub fn push_thunk(p: impl Into<Block>) -> Instr {
+        Instr::push_val(Value::thunk(p))
     }
 }
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Instr::Push(o) => write!(f, "push {o}"),
-            Instr::Add => write!(f, "add"),
-            Instr::Less => write!(f, "less?"),
-            Instr::If0(p1, p2) => write!(f, "if0 ({p1}) ({p2})"),
-            Instr::Lam(xs, p) => {
-                write!(f, "lam ")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                write!(f, ". ({p})")
-            }
-            Instr::Call => write!(f, "call"),
-            Instr::Idx => write!(f, "idx"),
-            Instr::Len => write!(f, "len"),
-            Instr::Alloc => write!(f, "alloc"),
-            Instr::Read => write!(f, "read"),
-            Instr::Write => write!(f, "write"),
-            Instr::Fail(c) => write!(f, "fail {c}"),
-        }
+        fmt_instr(f, self, &mut Vec::new())
     }
 }
 
-/// A StackLang program `P ::= · | i, P`: a sequence of instructions.
+/// A frozen instruction block, shared by reference: cloning it is a
+/// reference-count bump.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Block(Arc<[Instr]>);
+
+impl Deref for Block {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        &self.0
+    }
+}
+
+impl From<Program> for Block {
+    /// Freezes a program; its instructions move, nothing is cloned.
+    fn from(p: Program) -> Block {
+        Block(Arc::from(p.0))
+    }
+}
+
+impl From<Vec<Instr>> for Block {
+    fn from(v: Vec<Instr>) -> Block {
+        Block(Arc::from(v))
+    }
+}
+
+impl fmt::Display for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt_instrs(f, self, &mut Vec::new())
+    }
+}
+
+/// A StackLang program `P ::= · | i, P`: a sequence of instructions under
+/// construction.  Appending copies only top-level instructions; nested
+/// blocks are shared.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Program(pub Vec<Instr>);
+pub struct Program(Vec<Instr>);
 
 impl Program {
     /// The empty program `·`.
@@ -261,19 +189,15 @@ impl Program {
         &self.0
     }
 
-    /// Capture-avoiding substitution `[x ↦ v]P`.
-    ///
-    /// Replaces free occurrences of `x` (in `push x` operands) with the
-    /// literal value `v`, descending into `if0` branches, `lam` bodies (unless
-    /// the `lam` rebinds `x`) and `thunk` literals.
-    pub fn subst(&self, x: &Var, v: &Value) -> Program {
-        Program(self.0.iter().map(|i| subst_instr(i, x, v)).collect())
+    /// The instructions, in execution order, by value.
+    pub fn into_instrs(self) -> Vec<Instr> {
+        self.0
     }
 
     /// The set of free variables of the program.
     pub fn free_vars(&self) -> BTreeSet<Var> {
         let mut acc = BTreeSet::new();
-        free_vars_prog(self, &mut Vec::new(), &mut acc);
+        free_vars_instrs(&self.0, &mut Vec::new(), &mut acc);
         acc
     }
 
@@ -303,63 +227,147 @@ impl Extend<Instr> for Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
-            return write!(f, "·");
-        }
-        for (i, instr) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{instr}")?;
-        }
-        Ok(())
+        fmt_instrs(f, &self.0, &mut Vec::new())
     }
 }
 
-fn subst_instr(i: &Instr, x: &Var, v: &Value) -> Instr {
+/// Bindings in scope while rendering, innermost last: `Some(v)` for a
+/// closure's binding, `None` for a `lam` binder that shadows it.
+type Scope<'a> = Vec<(&'a Var, Option<&'a Value>)>;
+
+/// Renders code with the bindings in `scope` written in place of the
+/// variables they bind — the text substitution would have produced.
+fn fmt_instrs<'a>(
+    f: &mut fmt::Formatter<'_>,
+    instrs: &'a [Instr],
+    scope: &mut Scope<'a>,
+) -> fmt::Result {
+    if instrs.is_empty() {
+        return write!(f, "·");
+    }
+    for (i, instr) in instrs.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        fmt_instr(f, instr, scope)?;
+    }
+    Ok(())
+}
+
+fn fmt_instr<'a>(f: &mut fmt::Formatter<'_>, i: &'a Instr, scope: &mut Scope<'a>) -> fmt::Result {
     match i {
-        Instr::Push(op) => Instr::Push(subst_operand(op, x, v)),
-        Instr::If0(p1, p2) => Instr::If0(p1.subst(x, v), p2.subst(x, v)),
-        Instr::Lam(xs, p) => {
-            if xs.contains(x) {
-                Instr::Lam(xs.clone(), p.clone())
-            } else {
-                Instr::Lam(xs.clone(), p.subst(x, v))
-            }
+        Instr::Push(o) => {
+            write!(f, "push ")?;
+            fmt_operand(f, o, scope)
         }
-        other => other.clone(),
+        Instr::Add => write!(f, "add"),
+        Instr::Less => write!(f, "less?"),
+        Instr::If0(p1, p2) => {
+            write!(f, "if0 (")?;
+            fmt_instrs(f, p1, scope)?;
+            write!(f, ") (")?;
+            fmt_instrs(f, p2, scope)?;
+            write!(f, ")")
+        }
+        Instr::Lam(xs, p) => {
+            write!(f, "lam ")?;
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ",")?;
+                }
+                write!(f, "{x}")?;
+            }
+            write!(f, ". (")?;
+            let depth = scope.len();
+            scope.extend(xs.iter().map(|x| (x, None)));
+            fmt_instrs(f, p, scope)?;
+            scope.truncate(depth);
+            write!(f, ")")
+        }
+        Instr::Call => write!(f, "call"),
+        Instr::Idx => write!(f, "idx"),
+        Instr::Len => write!(f, "len"),
+        Instr::Alloc => write!(f, "alloc"),
+        Instr::Read => write!(f, "read"),
+        Instr::Write => write!(f, "write"),
+        Instr::Fail(c) => write!(f, "fail {c}"),
     }
 }
 
-fn subst_operand(op: &Operand, x: &Var, v: &Value) -> Operand {
-    match op {
-        Operand::Var(y) if y == x => Operand::Lit(v.clone()),
-        Operand::Var(y) => Operand::Var(y.clone()),
-        Operand::Lit(val) => Operand::Lit(subst_value(val, x, v)),
-        Operand::Array(ops) => Operand::Array(ops.iter().map(|o| subst_operand(o, x, v)).collect()),
+fn fmt_operand<'a>(
+    f: &mut fmt::Formatter<'_>,
+    o: &'a Operand,
+    scope: &mut Scope<'a>,
+) -> fmt::Result {
+    match o {
+        Operand::Lit(v) => fmt_value(f, v, scope),
+        Operand::Var(x) => match scope.iter().rev().find(|(y, _)| *y == x) {
+            Some((_, Some(v))) => write!(f, "{v}"),
+            _ => write!(f, "{x}"),
+        },
+        Operand::Array(ops) => {
+            write!(f, "[")?;
+            for (i, o) in ops.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                fmt_operand(f, o, scope)?;
+            }
+            write!(f, "]")
+        }
     }
 }
 
-fn subst_value(val: &Value, x: &Var, v: &Value) -> Value {
-    match val {
-        Value::Thunk(p) => Value::Thunk(p.subst(x, v)),
-        Value::Array(vs) => Value::Array(vs.iter().map(|w| subst_value(w, x, v)).collect()),
-        other => other.clone(),
+/// Renders a value; a thunk's code is rendered with its own bindings on top
+/// of `scope`.
+pub(crate) fn fmt_value<'a>(
+    f: &mut fmt::Formatter<'_>,
+    v: &'a Value,
+    scope: &mut Scope<'a>,
+) -> fmt::Result {
+    match v {
+        Value::Num(n) => write!(f, "{n}"),
+        Value::Loc(l) => write!(f, "{l}"),
+        Value::Thunk(c) => fmt_closure(f, c, scope),
+        Value::Array(vs) => {
+            write!(f, "[")?;
+            for (i, v) in vs.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                fmt_value(f, v, scope)?;
+            }
+            write!(f, "]")
+        }
     }
 }
 
-fn free_vars_prog(p: &Program, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
-    for i in &p.0 {
+fn fmt_closure<'a>(
+    f: &mut fmt::Formatter<'_>,
+    c: &'a Closure,
+    scope: &mut Scope<'a>,
+) -> fmt::Result {
+    let depth = scope.len();
+    let own: Vec<_> = c.env().iter().collect();
+    scope.extend(own.into_iter().rev().map(|(x, v)| (x, Some(v))));
+    write!(f, "thunk {{")?;
+    fmt_instrs(f, c.code(), scope)?;
+    scope.truncate(depth);
+    write!(f, "}}")
+}
+
+fn free_vars_instrs(instrs: &[Instr], bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
+    for i in instrs {
         match i {
             Instr::Push(op) => free_vars_operand(op, bound, acc),
             Instr::If0(p1, p2) => {
-                free_vars_prog(p1, bound, acc);
-                free_vars_prog(p2, bound, acc);
+                free_vars_instrs(p1, bound, acc);
+                free_vars_instrs(p2, bound, acc);
             }
             Instr::Lam(xs, body) => {
                 let n = bound.len();
                 bound.extend(xs.iter().cloned());
-                free_vars_prog(body, bound, acc);
+                free_vars_instrs(body, bound, acc);
                 bound.truncate(n);
             }
             _ => {}
@@ -383,11 +391,17 @@ fn free_vars_operand(op: &Operand, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>
     }
 }
 
+/// A thunk's own bindings close the variables they name.
 fn free_vars_value(v: &Value, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
     match v {
-        Value::Thunk(p) => free_vars_prog(p, bound, acc),
+        Value::Thunk(c) => {
+            let n = bound.len();
+            bound.extend(c.env().iter().map(|(x, _)| x.clone()));
+            free_vars_instrs(c.code(), bound, acc);
+            bound.truncate(n);
+        }
         Value::Array(vs) => {
-            for w in vs {
+            for w in vs.iter() {
                 free_vars_value(w, bound, acc)
             }
         }
@@ -401,49 +415,6 @@ mod tests {
 
     fn var(s: &str) -> Var {
         Var::new(s)
-    }
-
-    #[test]
-    fn substitution_replaces_free_occurrences() {
-        let p = Program::from(vec![Instr::push_var("x"), Instr::push_var("y"), Instr::Add]);
-        let q = p.subst(&var("x"), &Value::Num(10));
-        assert_eq!(
-            q,
-            Program::from(vec![Instr::push_num(10), Instr::push_var("y"), Instr::Add])
-        );
-    }
-
-    #[test]
-    fn substitution_respects_lam_shadowing() {
-        // lam x. (push x) must not be touched when substituting for x.
-        let inner = Program::single(Instr::push_var("x"));
-        let p = Program::from(vec![Instr::push_var("x"), Instr::lam1("x", inner.clone())]);
-        let q = p.subst(&var("x"), &Value::Num(1));
-        assert_eq!(q.0[0], Instr::push_num(1));
-        assert_eq!(q.0[1], Instr::lam1("x", inner));
-    }
-
-    #[test]
-    fn substitution_descends_into_thunks_and_branches() {
-        let p = Program::from(vec![
-            Instr::push_thunk(Program::single(Instr::push_var("x"))),
-            Instr::If0(
-                Program::single(Instr::push_var("x")),
-                Program::single(Instr::push_var("z")),
-            ),
-        ]);
-        let q = p.subst(&var("x"), &Value::Num(3));
-        assert_eq!(
-            q.0[0],
-            Instr::push_thunk(Program::single(Instr::push_num(3)))
-        );
-        assert_eq!(
-            q.0[1],
-            Instr::If0(
-                Program::single(Instr::push_num(3)),
-                Program::single(Instr::push_var("z")),
-            )
-        );
     }
 
     #[test]
@@ -461,15 +432,36 @@ mod tests {
         assert!(!fv.contains(&var("b")));
         assert!(!p.is_closed());
         assert!(Program::single(Instr::push_num(1)).is_closed());
+        // Thunk literals and if0 branches are searched too.
+        let p = Program::from(vec![
+            Instr::push_thunk(Program::single(Instr::push_var("t"))),
+            Instr::if0(Program::single(Instr::push_var("u")), Program::empty()),
+        ]);
+        assert_eq!(p.free_vars(), BTreeSet::from([var("t"), var("u")]));
     }
 
     #[test]
     fn then_concatenates_in_order() {
         let p = Program::single(Instr::push_num(1)).then(Program::single(Instr::push_num(2)));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.0[0], Instr::push_num(1));
+        assert_eq!(p.instrs()[0], Instr::push_num(1));
         let p = p.then_instr(Instr::Add);
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn cloning_code_shares_nested_blocks() {
+        let body = Program::from(vec![Instr::push_var("x"), Instr::push_var("x"), Instr::Add]);
+        let lam = Instr::lam1("x", body);
+        let copy = Program::single(lam.clone()).then(Program::single(lam.clone()));
+        match (&lam, &copy.instrs()[1]) {
+            (Instr::Lam(_, a), Instr::Lam(_, b)) => {
+                assert_eq!(a.as_ptr(), b.as_ptr(), "the body is shared")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let block = Block::from(copy.clone());
+        assert_eq!(&block[..], copy.instrs());
     }
 
     #[test]
@@ -481,15 +473,10 @@ mod tests {
         ]);
         assert_eq!(p.to_string(), "push 1, lam x. (push x), fail Conv");
         assert_eq!(Program::empty().to_string(), "·");
-    }
-
-    #[test]
-    fn value_accessors() {
-        assert_eq!(Value::Num(3).as_num(), Some(3));
-        assert_eq!(Value::Num(3).as_loc(), None);
-        assert_eq!(Value::Loc(Loc(1)).as_loc(), Some(Loc(1)));
-        let arr = Value::array([Value::Num(1), Value::Num(2)]);
-        assert_eq!(arr.as_array().unwrap().len(), 2);
-        assert_eq!(arr.to_string(), "[1, 2]");
+        let p = Program::single(Instr::if0(
+            Program::single(Instr::push_thunk(Program::empty())),
+            Program::single(Instr::Call),
+        ));
+        assert_eq!(p.to_string(), "if0 (push thunk {·}) (call)");
     }
 }

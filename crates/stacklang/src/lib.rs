@@ -6,9 +6,18 @@
 //! stack of values, and the remaining program.
 //!
 //! Values are numbers, suspended computations (`thunk P`), heap locations and
-//! arrays of values.  `lam x. P` is an *instruction* (not a value) solely
-//! responsible for substitution, à la call-by-push-value; `thunk`/`call`
-//! suspend and resume computation.
+//! arrays of values.  `lam x. P` is an *instruction* (not a value) that pops
+//! its arguments and binds them in `P`, à la call-by-push-value;
+//! `thunk`/`call` suspend and resume computation.
+//!
+//! The figure states `lam` as substitution.  This crate runs it as an
+//! environment machine over shared code instead: nested instruction blocks
+//! are frozen `Arc<[Instr]>` ([`Block`]), `lam` binds its arguments as
+//! locals of the frame that runs its body, and a thunk pushed at run time
+//! is a [`Closure`] over the bindings in scope, kept in a persistent
+//! [`Env`].  On closed programs every step retires the instruction
+//! substitution would, with the same stack and heap, and a closure renders
+//! as the substituted thunk (see [`machine`]).
 //!
 //! Any instruction whose stack precondition is not met steps to `fail Type`;
 //! out-of-bounds indexing steps to `fail Idx`; conversion glue code emits
@@ -37,9 +46,11 @@ pub mod builder;
 pub mod heap;
 pub mod instr;
 pub mod machine;
+pub mod value;
 
 pub use heap::{Heap, Loc};
-pub use instr::{Instr, Operand, Program, Value};
+pub use instr::{Block, Instr, Operand, Program};
 pub use machine::{Machine, RunResult, StackState};
+pub use value::{Closure, Env, Value};
 
 pub use semint_core::{ErrorCode, Fuel, Outcome, Var};

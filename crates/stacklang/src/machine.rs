@@ -1,5 +1,26 @@
 //! The StackLang abstract machine: configurations `⟨H; S; P⟩` and their
-//! small-step operational semantics (Fig. 2).
+//! small-step operational semantics (Fig. 2), run as an environment machine
+//! over shared code.
+//!
+//! The figure's remaining program `P` is a stack of frames.  A frame is the
+//! code it runs (the top-level program, adopted without a copy, or a shared
+//! [`Block`]), the index of its next instruction, and the bindings its
+//! variables are read from.  Entering an `if0` branch, a `lam` body or a
+//! called thunk pushes a frame, which costs a reference-count bump; no step
+//! copies or rewrites instructions, and a block entered as the last
+//! instruction of its frame replaces that frame.
+//!
+//! Where the figure substitutes the popped values into `lam`'s body, the
+//! machine pushes them on a stack of locals that the body's frame (and the
+//! branches and bodies nested in it) read; they are dropped when the last
+//! frame that can see them finishes.  A thunk literal pushed at run time
+//! closes over the bindings in scope: the locals are copied into a
+//! persistent [`Env`] shared with the closure's own (see [`crate::value`]),
+//! and `call` runs the thunk's code under that environment alone.  For
+//! closed programs this retires, step for step, the instruction
+//! substitution would retire, with the same stack and heap; a differential
+//! test in the repository's root package (`tests/stacklang_reference.rs`)
+//! checks that against the literal substitution machine.
 //!
 //! Every reduction rule of the figure is implemented by [`Machine::step`];
 //! instructions whose stack precondition is not met step to `fail Type`.  The
@@ -8,8 +29,9 @@
 //! step-indexed expression relation directly.
 
 use crate::heap::Heap;
-use crate::instr::{Instr, Program, Value};
-use semint_core::{ErrorCode, Fuel, OpClass, Outcome, VmCounters};
+use crate::instr::{Block, Instr, Operand, Program};
+use crate::value::{Env, Value};
+use semint_core::{ErrorCode, Fuel, OpClass, Outcome, Var, VmCounters};
 use std::fmt;
 
 /// The stack component of a configuration: either a stack of values or the
@@ -81,15 +103,96 @@ pub struct RunResult {
     pub counters: VmCounters,
 }
 
+/// One activation of a block: the figure's remaining program is the
+/// concatenation of every frame's unrun suffix, top frame first.
+#[derive(Debug, Clone, PartialEq)]
+struct Frame {
+    /// The block being run; `None` for the machine's top-level program.
+    code: Option<Block>,
+    /// Index of the next instruction; always below the code's length.
+    pc: usize,
+    /// The environment of the closure this code was called from (empty for
+    /// the top-level program).
+    env: Env,
+    /// The `lam` bindings in scope since that call are the machine's
+    /// `locals[lo..hi]`, innermost last; they shadow `env`.
+    lo: usize,
+    hi: usize,
+}
+
+/// What an instruction asks of the control after it has run.
+enum Next {
+    /// Carry on with the current frame's next instruction.
+    Continue,
+    /// Run an `if0` branch, or a `lam` body whose bindings were just pushed
+    /// on the locals, inside the current scope.
+    Nested(Block),
+    /// Run a called closure's code under the closure's environment.
+    Call(Block, Env),
+    /// Abort with `fail c`.
+    Fail(ErrorCode),
+}
+
+/// The bindings a frame's code sees: its `lam` locals over its closure
+/// environment.
+struct Scope<'a> {
+    locals: &'a [(Var, Value)],
+    env: &'a Env,
+}
+
+impl Scope<'_> {
+    fn lookup(&self, x: &Var) -> Option<&Value> {
+        match self.locals.iter().rev().find(|(y, _)| y == x) {
+            Some((_, v)) => Some(v),
+            None => self.env.lookup(x),
+        }
+    }
+
+    /// The scope as one persistent environment, for a thunk to close over.
+    fn capture(&self) -> Env {
+        self.locals.iter().fold(self.env.clone(), |env, (x, v)| {
+            env.bind(x.clone(), v.clone())
+        })
+    }
+
+    /// The value `push op` pushes, or `None` if the operand mentions an
+    /// unbound variable.
+    fn resolve(&self, op: &Operand) -> Option<Value> {
+        match op {
+            Operand::Lit(v @ (Value::Num(_) | Value::Loc(_))) => Some(v.clone()),
+            Operand::Lit(v) => Some(v.captured(&self.capture())),
+            Operand::Var(x) => self.lookup(x).cloned(),
+            Operand::Array(ops) => {
+                let mut closed = true;
+                let elems = ops
+                    .iter()
+                    .map(|o| {
+                        self.resolve(o).unwrap_or_else(|| {
+                            closed = false;
+                            Value::Num(0)
+                        })
+                    })
+                    .collect();
+                closed.then_some(Value::Array(elems))
+            }
+        }
+    }
+}
+
 /// A StackLang machine configuration `⟨H; S; P⟩`.
-///
-/// The remaining program is stored reversed so "next instruction" is a `pop`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     heap: Heap,
     stack: StackState,
-    /// Remaining instructions, reversed (next instruction is the last element).
-    control: Vec<Instr>,
+    /// The top-level program, run in place: adopting it copies nothing.
+    program: Vec<Instr>,
+    /// Activations, innermost last; no frame is ever exhausted.
+    frames: Vec<Frame>,
+    /// The `lam` bindings of the running frames, as a stack: its length is
+    /// always the top frame's `hi`.  Binding here instead of in an [`Env`]
+    /// allocates nothing; a thunk pushed in their scope copies them into
+    /// the environment it closes over.
+    locals: Vec<(Var, Value)>,
     steps: u64,
     counters: VmCounters,
 }
@@ -102,24 +205,24 @@ impl Machine {
 
     /// A machine with explicit initial heap and stack.
     pub fn with_state(heap: Heap, stack: StackState, program: Program) -> Machine {
-        let mut control = program.0;
-        control.reverse();
-        Machine {
+        let mut machine = Machine {
             heap,
             stack,
-            control,
+            program: Vec::new(),
+            frames: Vec::new(),
+            locals: Vec::new(),
             steps: 0,
             counters: VmCounters::new(),
-        }
+        };
+        machine.enter_program(program);
+        machine
     }
 
     /// Rearms the machine to run `program` on an empty stack and empty
-    /// heap, adopting the program as the new control by reversing its own
-    /// buffer — the same zero-copy move [`Machine::with_state`] performs —
-    /// so a batch of compiled artifacts shares one machine instead of
-    /// constructing one per program.  (Each run's final heap and stack move
-    /// into its [`RunResult`], so those start over; see
-    /// [`Machine::run_mut`].)
+    /// heap, keeping the frame and binding buffers' capacity, so a batch
+    /// of compiled artifacts shares one machine instead of constructing one
+    /// per program.  (Each run's final heap and stack move into its
+    /// [`RunResult`], so those start over; see [`Machine::run_mut`].)
     ///
     /// A reset machine is observationally identical to [`Machine::new`] on
     /// the same program — same outcome, same final heap and stack, same step
@@ -131,9 +234,9 @@ impl Machine {
             StackState::Values(vs) => vs.clear(),
             failed => *failed = StackState::empty(),
         }
-        let mut control = program.0;
-        control.reverse();
-        self.control = control;
+        self.frames.clear();
+        self.locals.clear();
+        self.enter_program(program);
         self.steps = 0;
         self.counters = VmCounters::new();
     }
@@ -155,156 +258,217 @@ impl Machine {
 
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
-        self.control.is_empty() || matches!(self.stack, StackState::Fail(_))
+        self.frames.is_empty() || matches!(self.stack, StackState::Fail(_))
     }
 
-    /// Remaining program (in execution order) — mostly useful for debugging.
-    pub fn remaining_program(&self) -> Program {
-        let mut v = self.control.clone();
-        v.reverse();
-        Program(v)
-    }
-
-    fn fail(&mut self, code: ErrorCode) {
-        self.stack = StackState::Fail(code);
-        self.control.clear();
-    }
-
-    fn push_program(&mut self, p: Program) {
-        // The program `p` must run before the current continuation, so its
-        // instructions go on top of the (reversed) control stack.
-        for i in p.0.into_iter().rev() {
-            self.control.push(i);
+    /// Adopts `program` as the machine's only frame; an empty program takes
+    /// no step, so it gets no frame.
+    fn enter_program(&mut self, program: Program) {
+        self.program = program.into_instrs();
+        if !self.program.is_empty() {
+            self.frames.push(Frame {
+                code: None,
+                pc: 0,
+                env: Env::empty(),
+                lo: 0,
+                hi: 0,
+            });
         }
     }
 
-    fn pop_value(&mut self) -> Option<Value> {
-        match &mut self.stack {
-            StackState::Values(vs) => vs.pop(),
-            StackState::Fail(_) => None,
-        }
-    }
-
-    fn push_value(&mut self, v: Value) {
-        if let StackState::Values(vs) = &mut self.stack {
-            vs.push(v);
-        }
+    /// Drops the bindings no remaining frame can see.
+    fn settle_locals(&mut self) {
+        let hi = self.frames.last().map_or(0, |f| f.hi);
+        self.locals.truncate(hi);
     }
 
     /// Performs one small step (one reduction of Fig. 2).
     ///
     /// Returns [`StepStatus::Done`] if the machine was already terminal.
     pub fn step(&mut self) -> StepStatus {
-        if self.is_terminal() {
+        let StackState::Values(vs) = &mut self.stack else {
             return StepStatus::Done;
-        }
-        let instr = self
-            .control
-            .pop()
-            .expect("non-terminal machine has an instruction");
+        };
+        let Some(frame) = self.frames.last_mut() else {
+            return StepStatus::Done;
+        };
+        let code = frame.code.as_deref().unwrap_or(&self.program);
+        let pc = frame.pc;
+        frame.pc += 1;
+        let instr = &code[pc];
         self.steps += 1;
-        self.counters.retire(classify_instr(&instr));
-        match instr {
-            Instr::Push(op) => match op.resolve() {
-                Some(v) => self.push_value(v),
-                // A free variable reached execution: the program was not
-                // closed. This is a dynamic type error.
-                None => self.fail(ErrorCode::Type),
-            },
-            Instr::Add => match (self.pop_value(), self.pop_value()) {
-                (Some(Value::Num(n1)), Some(Value::Num(n))) => {
-                    self.push_value(Value::Num(n.wrapping_add(n1)))
-                }
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Less => match (self.pop_value(), self.pop_value()) {
-                (Some(Value::Num(n1)), Some(Value::Num(n))) => {
-                    self.push_value(Value::Num(if n < n1 { 0 } else { 1 }))
-                }
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::If0(p1, p2) => match self.pop_value() {
-                Some(Value::Num(n)) => {
-                    if n == 0 {
-                        self.push_program(p1);
-                    } else {
-                        self.push_program(p2);
+        self.counters.retire(classify_instr(instr));
+        let next = match instr {
+            Instr::Push(op) => {
+                let scope = Scope {
+                    locals: &self.locals[frame.lo..frame.hi],
+                    env: &frame.env,
+                };
+                match scope.resolve(op) {
+                    Some(v) => {
+                        vs.push(v);
+                        Next::Continue
                     }
+                    // A variable with no binding reached execution: the
+                    // program was not closed. This is a dynamic type error.
+                    None => Next::Fail(ErrorCode::Type),
                 }
-                _ => self.fail(ErrorCode::Type),
+            }
+            Instr::Add => match (vs.pop(), vs.pop()) {
+                (Some(Value::Num(n1)), Some(Value::Num(n))) => {
+                    vs.push(Value::Num(n.wrapping_add(n1)));
+                    Next::Continue
+                }
+                _ => Next::Fail(ErrorCode::Type),
+            },
+            Instr::Less => match (vs.pop(), vs.pop()) {
+                (Some(Value::Num(n1)), Some(Value::Num(n))) => {
+                    vs.push(Value::Num(if n < n1 { 0 } else { 1 }));
+                    Next::Continue
+                }
+                _ => Next::Fail(ErrorCode::Type),
+            },
+            Instr::If0(p1, p2) => match vs.pop() {
+                Some(Value::Num(n)) => Next::Nested(if n == 0 { p1 } else { p2 }.clone()),
+                _ => Next::Fail(ErrorCode::Type),
             },
             Instr::Lam(xs, body) => {
                 // Pop one value per binder; the leftmost binder receives the
                 // top of the stack (Fig. 3 compiles pairs with
                 // `lam x2,x1. …` so that x2 is the most recently pushed).
-                let mut subst = Vec::with_capacity(xs.len());
-                let mut ok = true;
-                for x in &xs {
-                    match self.pop_value() {
-                        Some(v) => subst.push((x.clone(), v)),
-                        None => {
-                            ok = false;
-                            break;
+                // Binding the leftmost binder last makes it the innermost,
+                // so with a repeated name it wins, as the figure's
+                // left-to-right substitutions do.
+                match vs.len().checked_sub(xs.len()) {
+                    // Nothing can read the bindings of an empty body.
+                    Some(base) if body.is_empty() => {
+                        vs.truncate(base);
+                        Next::Continue
+                    }
+                    Some(base) => {
+                        match &xs[..] {
+                            [x] => {
+                                let v = vs.pop().expect("one value per binder");
+                                self.locals.push((x.clone(), v));
+                            }
+                            _ => self
+                                .locals
+                                .extend(xs.iter().rev().cloned().zip(vs.drain(base..))),
                         }
+                        Next::Nested(body.clone())
                     }
-                }
-                if !ok {
-                    self.fail(ErrorCode::Type);
-                } else {
-                    let mut body = body;
-                    for (x, v) in &subst {
-                        body = body.subst(x, v);
-                    }
-                    self.push_program(body);
+                    None => Next::Fail(ErrorCode::Type),
                 }
             }
-            Instr::Call => match self.pop_value() {
-                Some(Value::Thunk(p)) => self.push_program(p),
-                _ => self.fail(ErrorCode::Type),
+            Instr::Call => match vs.pop() {
+                Some(Value::Thunk(c)) => {
+                    let (code, env) = c.into_parts();
+                    Next::Call(code, env)
+                }
+                _ => Next::Fail(ErrorCode::Type),
             },
-            Instr::Idx => match (self.pop_value(), self.pop_value()) {
-                (Some(Value::Num(n)), Some(Value::Array(vs))) => {
-                    if n >= 0 && (n as usize) < vs.len() {
-                        self.push_value(vs[n as usize].clone());
+            Instr::Idx => match (vs.pop(), vs.pop()) {
+                (Some(Value::Num(n)), Some(Value::Array(elems))) => {
+                    if n >= 0 && (n as usize) < elems.len() {
+                        vs.push(elems[n as usize].clone());
+                        Next::Continue
                     } else {
-                        self.fail(ErrorCode::Idx);
+                        Next::Fail(ErrorCode::Idx)
                     }
                 }
-                _ => self.fail(ErrorCode::Type),
+                _ => Next::Fail(ErrorCode::Type),
             },
-            Instr::Len => match self.pop_value() {
-                Some(Value::Array(vs)) => self.push_value(Value::Num(vs.len() as i64)),
-                _ => self.fail(ErrorCode::Type),
+            Instr::Len => match vs.pop() {
+                Some(Value::Array(elems)) => {
+                    vs.push(Value::Num(elems.len() as i64));
+                    Next::Continue
+                }
+                _ => Next::Fail(ErrorCode::Type),
             },
-            Instr::Alloc => match self.pop_value() {
+            Instr::Alloc => match vs.pop() {
                 Some(v) => {
                     let l = self.heap.alloc(v);
-                    self.push_value(Value::Loc(l));
+                    vs.push(Value::Loc(l));
+                    Next::Continue
                 }
-                None => self.fail(ErrorCode::Type),
+                None => Next::Fail(ErrorCode::Type),
             },
-            Instr::Read => match self.pop_value() {
+            Instr::Read => match vs.pop() {
                 Some(Value::Loc(l)) => match self.heap.read(l) {
                     Some(v) => {
-                        let v = v.clone();
-                        self.push_value(v);
+                        vs.push(v.clone());
+                        Next::Continue
                     }
-                    None => self.fail(ErrorCode::Type),
+                    None => Next::Fail(ErrorCode::Type),
                 },
-                _ => self.fail(ErrorCode::Type),
+                _ => Next::Fail(ErrorCode::Type),
             },
-            Instr::Write => match (self.pop_value(), self.pop_value()) {
+            Instr::Write => match (vs.pop(), vs.pop()) {
                 (Some(v), Some(Value::Loc(l))) => {
-                    if !self.heap.write(l, v) {
-                        self.fail(ErrorCode::Type);
+                    if self.heap.write(l, v) {
+                        Next::Continue
+                    } else {
+                        Next::Fail(ErrorCode::Type)
                     }
                 }
-                _ => self.fail(ErrorCode::Type),
+                _ => Next::Fail(ErrorCode::Type),
             },
-            Instr::Fail(c) => self.fail(c),
-        }
-        if let StackState::Values(vs) = &self.stack {
+            Instr::Fail(c) => Next::Fail(*c),
+        };
+        if !matches!(next, Next::Fail(_)) {
             self.counters.note_stack_depth(vs.len());
+        }
+        // An exhausted frame is retired before the next block is entered,
+        // so a block entered in tail position replaces its caller.
+        let exhausted = frame.pc == code.len();
+        match next {
+            Next::Continue if !exhausted => {}
+            Next::Continue => {
+                self.frames.pop();
+                self.settle_locals();
+            }
+            Next::Nested(code) => {
+                let hi = self.locals.len();
+                let (env, lo) = if exhausted {
+                    let f = self.frames.pop().expect("the running frame");
+                    (f.env, f.lo)
+                } else {
+                    let f = self.frames.last().expect("the running frame");
+                    (f.env.clone(), f.lo)
+                };
+                if code.is_empty() {
+                    self.settle_locals();
+                } else {
+                    self.frames.push(Frame {
+                        code: Some(code),
+                        pc: 0,
+                        env,
+                        lo,
+                        hi,
+                    });
+                }
+            }
+            Next::Call(code, env) => {
+                if exhausted {
+                    self.frames.pop();
+                }
+                self.settle_locals();
+                if !code.is_empty() {
+                    let base = self.locals.len();
+                    self.frames.push(Frame {
+                        code: Some(code),
+                        pc: 0,
+                        env,
+                        lo: base,
+                        hi: base,
+                    });
+                }
+            }
+            Next::Fail(c) => {
+                self.stack = StackState::Fail(c);
+                self.frames.clear();
+                self.locals.clear();
+            }
         }
         StepStatus::Continue
     }
@@ -346,6 +510,8 @@ impl Machine {
         let mut counters = self.counters;
         counters.heap_allocs = self.heap.len() as u64;
         counters.heap_peak_live = self.heap.len() as u64;
+        self.frames.clear();
+        self.locals.clear();
         RunResult {
             outcome,
             heap: std::mem::take(&mut self.heap),
@@ -428,7 +594,7 @@ mod tests {
         let p = |n| {
             Program::from(vec![
                 Instr::push_num(n),
-                Instr::If0(
+                Instr::if0(
                     Program::single(Instr::push_num(100)),
                     Program::single(Instr::push_num(200)),
                 ),
@@ -441,12 +607,12 @@ mod tests {
 
     #[test]
     fn if0_on_empty_stack_is_a_type_error() {
-        let p = Program::single(Instr::If0(Program::empty(), Program::empty()));
+        let p = Program::single(Instr::if0(Program::empty(), Program::empty()));
         assert_eq!(run(p).outcome, Outcome::Fail(ErrorCode::Type));
     }
 
     #[test]
-    fn lam_substitutes_and_thunk_call_resumes() {
+    fn lam_binds_and_thunk_call_resumes() {
         // push 21, lam x. (push x, push x, add)  ==>  42
         let p = Program::from(vec![
             Instr::push_num(21),
@@ -467,29 +633,100 @@ mod tests {
 
     #[test]
     fn multi_binder_lam_pops_top_first() {
-        // push 1, push 2, lam x2,x1. (push [x1, x2])  ==> [1, 2]
+        // push 1, push 2, lam x2,x1. (push x1)  ==>  1 (the first pushed value)
         let p = Program::from(vec![
             Instr::push_num(1),
             Instr::push_num(2),
-            Instr::Lam(
-                vec![Var::new("x2"), Var::new("x1")],
-                Program::single(Instr::Push(Operand::Lit(Value::Array(vec![])))),
-            ),
-        ]);
-        // Build the body properly: push [x1, x2] is sugar we don't have, so use
-        // two pushes and a two-binder lam to array-construct via builder in
-        // compile tests; here we only check binding order via arithmetic:
-        // lam x2,x1. (push x1) should give 1 (the first pushed value).
-        let p2 = Program::from(vec![
-            Instr::push_num(1),
-            Instr::push_num(2),
-            Instr::Lam(
-                vec![Var::new("x2"), Var::new("x1")],
+            Instr::lam(
+                [Var::new("x2"), Var::new("x1")],
                 Program::single(Instr::push_var("x1")),
             ),
         ]);
-        assert_eq!(run(p2).outcome, Outcome::Value(Value::Num(1)));
-        let _ = p;
+        assert_eq!(run(p).outcome, Outcome::Value(Value::Num(1)));
+        // push 1, push 2, lam x2,x1. (push [x1, x2])  ==>  [1, 2]
+        let p = Program::from(vec![
+            Instr::push_num(1),
+            Instr::push_num(2),
+            Instr::lam(
+                [Var::new("x2"), Var::new("x1")],
+                Program::single(Instr::Push(Operand::Array(vec![
+                    Operand::Var(Var::new("x1")),
+                    Operand::Var(Var::new("x2")),
+                ]))),
+            ),
+        ]);
+        assert_eq!(
+            run(p).outcome,
+            Outcome::Value(Value::array([Value::Num(1), Value::Num(2)]))
+        );
+    }
+
+    #[test]
+    fn repeated_binders_bind_the_top_of_the_stack() {
+        // push 1, push 2, lam x,x. (push x)  ==>  2
+        let p = Program::from(vec![
+            Instr::push_num(1),
+            Instr::push_num(2),
+            Instr::lam(
+                [Var::new("x"), Var::new("x")],
+                Program::single(Instr::push_var("x")),
+            ),
+        ]);
+        let r = run(p);
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(2)));
+        assert_eq!(r.stack, StackState::Values(vec![Value::Num(2)]));
+    }
+
+    #[test]
+    fn thunks_close_over_the_scope_they_are_pushed_in() {
+        // push 1, lam x. (push (thunk push x), push 2, lam x. (call))  ==>  1:
+        // the thunk reads the x in scope where it was pushed, not the x in
+        // scope where it is called.
+        let p = Program::from(vec![
+            Instr::push_num(1),
+            Instr::lam1(
+                "x",
+                Program::from(vec![
+                    Instr::push_thunk(Program::single(Instr::push_var("x"))),
+                    Instr::push_num(2),
+                    Instr::lam1("x", Program::single(Instr::Call)),
+                ]),
+            ),
+        ]);
+        let r = run(p);
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(1)));
+        // The closure left on the stack of a partial run renders as the
+        // substituted thunk.
+        let p = Program::from(vec![
+            Instr::push_num(5),
+            Instr::lam1(
+                "y",
+                Program::single(Instr::push_thunk(Program::from(vec![
+                    Instr::push_var("y"),
+                    Instr::push_var("z"),
+                ]))),
+            ),
+        ]);
+        let v = run(p).outcome.value().expect("a thunk");
+        assert_eq!(v.to_string(), "thunk {push 5, push z}");
+    }
+
+    #[test]
+    fn tail_calls_do_not_grow_the_frame_stack() {
+        // DUP in tail position of a chain of branches: the frame count stays
+        // bounded because an exhausted frame is retired before the next
+        // block is entered.
+        let mut p = Program::single(Instr::push_num(0));
+        for _ in 0..1_000 {
+            p = Program::single(Instr::push_num(0)).then_instr(Instr::if0(p, Program::empty()));
+        }
+        let mut m = Machine::new(p);
+        let mut deepest = 0;
+        while m.step() == StepStatus::Continue {
+            deepest = deepest.max(m.frames.len());
+        }
+        assert_eq!(m.stack(), &StackState::Values(vec![Value::Num(0)]));
+        assert_eq!(deepest, 1);
     }
 
     #[test]
@@ -596,7 +833,7 @@ mod tests {
     #[test]
     fn reset_machine_is_observationally_identical_to_a_fresh_one() {
         // Programs exercising every piece of machine state a reset must
-        // clear: stack values, heap cells, substitution, failure states.
+        // clear: stack values, heap cells, bindings, frames, failure states.
         let programs: Vec<Program> = vec![
             Program::from(vec![Instr::push_num(4), Instr::push_num(5), Instr::Add]),
             Program::from(vec![Instr::push_num(7), Instr::Alloc, Instr::Read]),
@@ -614,6 +851,14 @@ mod tests {
                 "x",
                 Program::from(vec![Instr::push_var("x"), Instr::push_var("x")]),
             )),
+            Program::from(vec![
+                Instr::push_num(3),
+                Instr::lam1(
+                    "x",
+                    Program::single(Instr::push_thunk(Program::single(Instr::push_var("x")))),
+                ),
+                Instr::Call,
+            ]),
         ];
         let mut reused = Machine::new(Program::empty());
         // Dirty the machine before the comparison runs so the reset has
@@ -704,14 +949,5 @@ mod tests {
         assert!(m.is_terminal());
         assert_eq!(m.step(), StepStatus::Done);
         assert_eq!(m.steps_taken(), 0);
-    }
-
-    #[test]
-    fn remaining_program_reports_execution_order() {
-        let m = Machine::new(Program::from(vec![Instr::push_num(1), Instr::Add]));
-        assert_eq!(
-            m.remaining_program(),
-            Program::from(vec![Instr::push_num(1), Instr::Add])
-        );
     }
 }

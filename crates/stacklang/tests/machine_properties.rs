@@ -49,7 +49,7 @@ fn compile(a: &Arith) -> Program {
             .then(compile(y))
             .then_instr(swap())
             .then_instr(Instr::Add),
-        Arith::IfZero(c, t, f) => compile(c).then_instr(Instr::If0(compile(t), compile(f))),
+        Arith::IfZero(c, t, f) => compile(c).then_instr(Instr::if0(compile(t), compile(f))),
     }
 }
 
@@ -91,19 +91,20 @@ proptest! {
         );
     }
 
-    /// Substitution is capture-avoiding: substituting into a program that
-    /// rebinds the same name does not change its behaviour.
+    /// Binding is lexical: an inner `lam` that rebinds the same name
+    /// shadows the outer binding, and the outer one is visible again after
+    /// the inner body has run.
     #[test]
-    fn substitution_respects_shadowing(n in -50i64..50, m in -50i64..50) {
-        // lam x. (push x)  applied twice with different outer substitutions.
-        let body = Program::from(vec![Instr::push_var("x")]);
-        let shadowing = Program::single(Instr::Lam(vec![Var::new("x")], body));
-        let subst = shadowing.subst(&Var::new("x"), &Value::Num(n));
-        // Regardless of the outer substitution, pushing m and running the lam
-        // yields m (the inner binder wins).
-        let p = Program::single(Instr::push_num(m)).then(subst);
+    fn lam_binding_respects_shadowing(n in -50i64..50, m in -50i64..50) {
+        // push n, lam x. (push m, lam x. (push x), push x, add)  ==>  m + n
+        let inner = Program::single(Instr::lam1("x", Program::single(Instr::push_var("x"))));
+        let body = Program::single(Instr::push_num(m))
+            .then(inner)
+            .then_instr(Instr::push_var(Var::new("x")))
+            .then_instr(Instr::Add);
+        let p = Program::from(vec![Instr::push_num(n), Instr::lam1("x", body)]);
         let r = Machine::run_program(p, Fuel::default());
-        prop_assert_eq!(r.outcome, Outcome::Value(Value::Num(m)));
+        prop_assert_eq!(r.outcome, Outcome::Value(Value::Num(m.wrapping_add(n))));
     }
 
     /// pack(k) followed by idx recovers each element in push order.
