@@ -50,17 +50,9 @@ impl ConstructorWeights {
         wrap: 2,
     };
 
-    /// The largest sum of weights [`GenProfile::validate`] accepts; keeps
-    /// every arithmetic path comfortably inside `u32`.
-    pub const MAX_TOTAL: u32 = 1_000_000;
-
-    /// Sum of the three weights (saturating, so hand-built weights beyond
-    /// [`ConstructorWeights::MAX_TOTAL`] cannot overflow — validation
-    /// rejects them before they matter).
+    /// Sum of the three weights.
     pub fn total(&self) -> u32 {
-        self.leaf
-            .saturating_add(self.branch)
-            .saturating_add(self.wrap)
+        self.leaf + self.branch + self.wrap
     }
 
     /// Maps a uniform roll in `0..total()` to a constructor class; the
@@ -98,21 +90,23 @@ impl Default for ConstructorWeights {
 
 /// A named generation profile: every knob the scenario generators honor.
 ///
-/// Profiles are the engine's first-class notion of a workload *population*
-/// (replacing the old flat `ScenarioConfig`): four presets cover the common
-/// sweeps, and every knob is independently overridable (`semint sweep
-/// --profile deep --boundary-bias 60 …`).  Construct presets via
-/// [`GenProfile::by_name`] or the named constructors; after mutating knobs,
-/// re-check with [`GenProfile::validate`] — the engine and CLI reject
-/// invalid profiles instead of silently clamping.
+/// Profiles are the engine's first-class notion of a workload *population*.
+/// Four presets cover every population the CLI, the serve daemon and the
+/// benchmark sweep: `semint --profile NAME` selects one through
+/// [`GenProfile::by_name`], and no knob is settable on its own there.  The
+/// fields stay public so tests and benchmarks can build a profile by struct
+/// update from a preset; nothing checks such a profile, so keep its depths,
+/// fuel and summed weights nonzero, and its bias a percentage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenProfile {
-    /// The preset this profile started from (`custom` once knobs diverge in
-    /// the CLI; informational only — never affects generation).
+    /// The preset's name, printed with every sweep; informational only —
+    /// it never affects generation.
     pub name: &'static str,
     /// Maximum structural depth of generated goal *types* (source-type
     /// depth).  Depths above 2 put compound-glue derivation on the sweep's
     /// critical path, which is where the glue cache shows up in wall-clock.
+    /// Under branch-heavy weights a goal type can have 2^depth leaves, so
+    /// generation time grows exponentially here; the presets stop at 4.
     pub type_depth: usize,
     /// Maximum expression depth of generated programs.
     pub max_depth: usize,
@@ -126,14 +120,6 @@ pub struct GenProfile {
 }
 
 impl GenProfile {
-    /// The largest goal-type depth [`GenProfile::validate`] accepts.  Under
-    /// branch-heavy weights a goal type can have 2^depth leaves, so
-    /// generation time grows exponentially in this knob: with weights
-    /// `0,1,0`, one seed takes a fraction of a second at depth 12, seconds
-    /// at depth 16, and more than a minute at depth 18.  The presets stop
-    /// at 4.
-    pub const MAX_TYPE_DEPTH: usize = 12;
-
     /// The four preset names, in the order `semint --help` lists them.
     pub const PRESET_NAMES: [&'static str; 4] = ["smoke", "default", "deep", "boundary-heavy"];
 
@@ -207,56 +193,6 @@ impl GenProfile {
             .iter()
             .map(|name| GenProfile::by_name(name).expect("preset names are exhaustive"))
             .collect()
-    }
-
-    /// Checks every knob, returning a human-readable complaint for the
-    /// first invalid one.  Presets always validate; mutated profiles must
-    /// be re-checked before use (the CLI turns the complaint into a usage
-    /// error instead of silently clamping).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.type_depth == 0 {
-            return Err("type depth must be at least 1".into());
-        }
-        if self.type_depth > GenProfile::MAX_TYPE_DEPTH {
-            return Err(format!(
-                "type depth {} is above the maximum of {} \
-                 (goal types grow exponentially with depth)",
-                self.type_depth,
-                GenProfile::MAX_TYPE_DEPTH
-            ));
-        }
-        if self.max_depth == 0 {
-            return Err("expression depth must be at least 1".into());
-        }
-        if self.boundary_bias > 100 {
-            return Err(format!(
-                "boundary bias is a percentage: {} is not in 0-100",
-                self.boundary_bias
-            ));
-        }
-        if self.fuel.remaining() == Some(0) {
-            return Err("fuel budget must be nonzero (a zero-step budget can run nothing)".into());
-        }
-        if self.weights.total() == 0 {
-            return Err("constructor weights must not all be zero".into());
-        }
-        let exact_total = [self.weights.leaf, self.weights.branch, self.weights.wrap]
-            .iter()
-            .try_fold(0u32, |acc, w| acc.checked_add(*w));
-        if !matches!(exact_total, Some(total) if total <= ConstructorWeights::MAX_TOTAL) {
-            return Err(format!(
-                "constructor weights are relative; keep their sum at or below {}",
-                ConstructorWeights::MAX_TOTAL
-            ));
-        }
-        Ok(())
-    }
-
-    /// Validates and returns `self` (builder-style sugar over
-    /// [`GenProfile::validate`]).
-    pub fn validated(self) -> Result<GenProfile, String> {
-        self.validate()?;
-        Ok(self)
     }
 }
 
@@ -445,9 +381,6 @@ mod tests {
     #[test]
     fn every_preset_validates_and_is_bounded() {
         for profile in GenProfile::presets() {
-            profile
-                .validate()
-                .unwrap_or_else(|e| panic!("preset {} invalid: {e}", profile.name));
             assert!(profile.fuel.remaining().is_some(), "{}", profile.name);
             assert!(profile.boundary_bias <= 100, "{}", profile.name);
             assert_eq!(
@@ -464,46 +397,6 @@ mod tests {
     #[test]
     fn deep_preset_reaches_past_the_old_type_depth_cap() {
         assert!(GenProfile::deep().type_depth >= 4);
-    }
-
-    #[test]
-    fn invalid_knobs_are_rejected_with_friendly_messages() {
-        let mut p = GenProfile::standard();
-        p.boundary_bias = 101;
-        assert!(p.validate().unwrap_err().contains("0-100"));
-        let mut p = GenProfile::standard();
-        p.fuel = crate::Fuel::steps(0);
-        assert!(p.validate().unwrap_err().contains("fuel"));
-        let mut p = GenProfile::standard();
-        p.type_depth = 0;
-        assert!(p.validate().unwrap_err().contains("type depth"));
-        p.type_depth = GenProfile::MAX_TYPE_DEPTH;
-        assert!(p.validate().is_ok(), "the cap itself is allowed");
-        p.type_depth = GenProfile::MAX_TYPE_DEPTH + 1;
-        let err = p.validate().unwrap_err();
-        assert!(
-            err.contains("type depth 13") && err.contains("maximum of 12"),
-            "{err}"
-        );
-        let mut p = GenProfile::standard();
-        p.max_depth = 0;
-        assert!(p.validate().unwrap_err().contains("expression depth"));
-        let mut p = GenProfile::standard();
-        p.weights = ConstructorWeights {
-            leaf: 0,
-            branch: 0,
-            wrap: 0,
-        };
-        assert!(p.validate().unwrap_err().contains("weights"));
-        // Oversized weights are rejected rather than overflowing the total.
-        let mut p = GenProfile::standard();
-        p.weights = ConstructorWeights {
-            leaf: 3_000_000_000,
-            branch: 3_000_000_000,
-            wrap: 1,
-        };
-        assert!(p.validate().unwrap_err().contains("at or below"));
-        assert!(GenProfile::standard().validated().is_ok());
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!
 //! Argument parsing is hand-rolled (the workspace is offline; no clap).
 
-use semint_core::case::{CaseStudy, ConstructorWeights, GenProfile};
+use semint_core::case::{CaseStudy, GenProfile};
 use semint_core::stats::SweepReport;
-use semint_core::Fuel;
 use semint_harness::cases::AnyCase;
 use semint_harness::engine::{
     run_scenario, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
@@ -91,21 +90,15 @@ GENERATION PROFILE:
     --profile NAME   smoke | default | deep | boundary-heavy (default: default)
                      deep generates source types of depth >= 4, putting
                      compound-glue derivation on the sweep's critical path
-    --type-depth D   max source-type depth, 1-12             (overrides profile)
-    --depth D        max expression depth                    (overrides profile)
-    --boundary-bias P  boundary probability 0-100            (overrides profile)
-    --weights L,B,W  leaf,branch,wrap constructor weights    (overrides profile)
-    --fuel N         step budget per run                     (overrides profile)
 
 OPTIONS:
     --case NAME      sharedmem | affine | memgc | all        (default: all)
-    --seed N         single seed (run only)
+    --seed N         single seed (run); the drill's fault-schedule seed (chaos)
     --jobs J         worker threads                          (default: 4)
     --batch N        compiled artifacts executed per reused machine
                      (default: 1 = one machine per scenario); batching
                      amortises machine setup and never changes digests
-    --no-model-check skip the realizability-model stage (run, sweep, submit;
-                     `check` rejects it)
+    --no-model-check skip the realizability-model stage (run, sweep, submit)
     --time           collect per-stage wall-clock totals
                      (generate/typecheck/compile/run/model-check);
                      deterministic VM counters are always collected
@@ -156,6 +149,8 @@ FAULT INJECTION (testing):
                      scenarios, forcing a supervised re-issue
     --fault-kind KIND  crash | wedge | corrupt-report | truncate-report —
                      how the sabotaged shard misbehaves       (default: crash)
+
+Each subcommand takes only the flags it honours; any other flag is a usage error.
 
 EXIT STATUS: 0 on success, 1 if any scenario or conversion check failed, 2 on usage errors.";
 
@@ -328,18 +323,38 @@ impl Default for Options {
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// The flags each option-taking subcommand honours.  `parse_options`
+/// refuses every other flag, so no subcommand silently ignores one.
+#[rustfmt::skip]
+const FLAGS: [(&str, &[&str]); 7] = [
+    ("run", &["--case", "--seed", "--profile", "--no-model-check", "--broken"]),
+    ("check", &["--case", "--seeds", "--shard", "--jobs", "--batch", "--profile", "--time", "--broken"]),
+    ("sweep", &["--case", "--seeds", "--shard", "--jobs", "--batch", "--profile", "--no-model-check",
+                "--time", "--broken", "--save", "--trace", "--progress", "--die-after", "--wedge-after",
+                "--corrupt-save"]),
+    ("serve", &["--port", "--workers", "--queue-capacity", "--worker-timeout-ms", "--max-retries", "--log",
+                "--state-dir", "--resume"]),
+    ("submit", &["--port", "--shutdown", "--case", "--seeds", "--profile", "--shards", "--jobs", "--batch",
+                 "--no-model-check", "--fault-shard", "--fault-after", "--fault-kind"]),
+    ("status", &["--port", "--job", "--wait", "--save"]),
+    ("chaos", &["--seed", "--rounds", "--case", "--seeds", "--profile", "--shards", "--jobs", "--workers",
+                "--batch", "--worker-timeout-ms", "--state-dir"]),
+];
+
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
+    let (_, flags) = FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .expect("every option-taking subcommand has a flag table");
     let mut opts = Options::default();
-    // Profile knob overrides are collected separately and applied on top of
-    // whichever preset `--profile` selects, so flag order never matters.
-    let mut profile_name: Option<String> = None;
-    let mut type_depth: Option<usize> = None;
-    let mut max_depth: Option<usize> = None;
-    let mut boundary_bias: Option<u32> = None;
-    let mut weights: Option<ConstructorWeights> = None;
-    let mut fuel: Option<Fuel> = None;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if !flags.contains(&flag.as_str()) {
+            return Err(format!(
+                "`semint {command}` does not take `{flag}`; its flags are: {}",
+                flags.join(" ")
+            ));
+        }
         let mut value = |name: &str| {
             iter.next()
                 .map(|s| s.as_str())
@@ -398,8 +413,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.batch = value("--batch")?
                     .parse()
                     .map_err(|e| format!("--batch: {e}"))?;
-                // Rejected, never clamped — the same policy as the
-                // generation-profile knobs.
+                // Rejected, never clamped.
                 if opts.batch == 0 {
                     return Err(
                         "--batch must be at least 1 (a zero-scenario batch can run nothing)".into(),
@@ -408,60 +422,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--profile" => {
                 let name = value("--profile")?;
-                GenProfile::by_name(name).ok_or_else(|| {
+                opts.profile = GenProfile::by_name(name).ok_or_else(|| {
                     format!(
                         "unknown profile `{name}` (expected one of: {})",
                         GenProfile::PRESET_NAMES.join(" | ")
                     )
                 })?;
-                profile_name = Some(name.to_string());
-            }
-            "--type-depth" => {
-                type_depth = Some(
-                    value("--type-depth")?
-                        .parse()
-                        .map_err(|e| format!("--type-depth: {e}"))?,
-                )
-            }
-            "--depth" => {
-                max_depth = Some(
-                    value("--depth")?
-                        .parse()
-                        .map_err(|e| format!("--depth: {e}"))?,
-                )
-            }
-            "--boundary-bias" => {
-                boundary_bias = Some(
-                    value("--boundary-bias")?
-                        .parse()
-                        .map_err(|e| format!("--boundary-bias: {e}"))?,
-                )
-            }
-            "--weights" => {
-                let spec = value("--weights")?;
-                let mut parts = spec.split(',');
-                let mut next = |what: &str| -> Result<u32, String> {
-                    parts
-                        .next()
-                        .ok_or_else(|| format!("--weights expects L,B,W, got `{spec}`"))?
-                        .parse::<u32>()
-                        .map_err(|e| format!("--weights {what}: {e}"))
-                };
-                let parsed = ConstructorWeights {
-                    leaf: next("leaf")?,
-                    branch: next("branch")?,
-                    wrap: next("wrap")?,
-                };
-                if parts.next().is_some() {
-                    return Err(format!("--weights expects exactly L,B,W, got `{spec}`"));
-                }
-                weights = Some(parsed);
-            }
-            "--fuel" => {
-                let steps: u64 = value("--fuel")?
-                    .parse()
-                    .map_err(|e| format!("--fuel: {e}"))?;
-                fuel = Some(Fuel::steps(steps));
             }
             "--no-model-check" => opts.model_check = false,
             "--time" => opts.time = true,
@@ -569,40 +535,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.corrupt_save = Some(mode.to_string());
             }
-            other => return Err(format!("unknown option `{other}`; try `semint help`")),
+            other => unreachable!("flag table entry `{other}` has no parse arm"),
         }
     }
-    let mut profile = match &profile_name {
-        Some(name) => GenProfile::by_name(name).expect("validated above"),
-        None => GenProfile::standard(),
-    };
-    let customized = type_depth.is_some()
-        || max_depth.is_some()
-        || boundary_bias.is_some()
-        || weights.is_some()
-        || fuel.is_some();
-    if let Some(d) = type_depth {
-        profile.type_depth = d;
-    }
-    if let Some(d) = max_depth {
-        profile.max_depth = d;
-    }
-    if let Some(b) = boundary_bias {
-        profile.boundary_bias = b;
-    }
-    if let Some(w) = weights {
-        profile.weights = w;
-    }
-    if let Some(f) = fuel {
-        profile.fuel = f;
-    }
-    if customized {
-        profile.name = "custom";
-    }
-    // Reject invalid knob combinations up front with the profile's own
-    // complaint — never silently clamp.
-    profile.validate()?;
-    opts.profile = profile;
     Ok(opts)
 }
 
@@ -701,7 +636,7 @@ fn finish_observer(observer: Option<SweepObserver>) -> Result<(), String> {
 /// wall-clock, so a single-seed investigation shows where the time goes
 /// without a whole `--time`d sweep.
 fn cmd_run(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("run", args)?;
     let seed = opts.seed.ok_or("`semint run` needs --seed N")?;
     let cases = selected_cases(&opts)?;
     let cfg = SweepConfig {
@@ -757,14 +692,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
 /// `semint check`: the conversion catalogue (Lemma 3.1) plus a model-checked
 /// scenario set.
 fn cmd_check(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    if !opts.model_check {
-        return Err(
-            "`semint check` model-checks every scenario; --no-model-check \
-             contradicts it (use `semint sweep --no-model-check`)"
-                .into(),
-        );
-    }
+    let opts = parse_options("check", args)?;
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
     let cfg = sweep_config(&opts);
@@ -787,7 +715,7 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
 
 /// `semint sweep`: the parallel batch run.
 fn cmd_sweep(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("sweep", args)?;
     if opts.corrupt_save.is_some() && opts.save.is_none() {
         return Err("--corrupt-save sabotages the --save report; give --save PATH too".into());
     }
@@ -888,7 +816,7 @@ fn cmd_report(args: &[String]) -> Result<bool, String> {
 /// `semint serve`: the foreground sweep-orchestration daemon.  Runs until a
 /// client sends `semint submit --shutdown`, then drains the queue and exits.
 fn cmd_serve(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("serve", args)?;
     let worker_binary = std::env::current_exe()
         .map_err(|e| format!("cannot locate the semint binary to spawn workers: {e}"))?;
     let worker_timeout_ms = opts.worker_timeout_ms.unwrap_or(30_000);
@@ -933,7 +861,7 @@ fn daemon_addr(opts: &Options) -> String {
 /// `semint submit`: queue one sweep job on a running daemon (or, with
 /// `--shutdown`, drain it).
 fn cmd_submit(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("submit", args)?;
     let addr = daemon_addr(&opts);
     if opts.shutdown {
         return match serve::call(&addr, &Request::Shutdown)? {
@@ -944,21 +872,6 @@ fn cmd_submit(args: &[String]) -> Result<bool, String> {
             Response::Error(e) => Err(e),
             other => Err(format!("unexpected response: {other:?}")),
         };
-    }
-    // Everything a worker cannot faithfully reconstruct from the wire is
-    // rejected here rather than silently dropped.
-    if opts.profile.name == "custom" {
-        return Err(
-            "serve jobs pin preset profiles (smoke | default | deep | boundary-heavy); \
-             knob overrides like --type-depth do not travel over the wire"
-                .into(),
-        );
-    }
-    if opts.shard.is_some() {
-        return Err("the daemon shards jobs itself; use --shards N instead of --shard K/N".into());
-    }
-    if opts.broken {
-        return Err("--broken is not supported for serve jobs".into());
     }
     let fault = match (opts.fault_shard, opts.fault_after) {
         (None, None) => {
@@ -1038,7 +951,7 @@ fn print_job_status(status: &JobStatus, detailed: bool) -> Result<(), String> {
 /// `semint status`: job states and rolling merged digests; `--wait` polls
 /// one job to completion.
 fn cmd_status(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("status", args)?;
     let addr = daemon_addr(&opts);
     if opts.wait && opts.job.is_none() {
         return Err("--wait follows one job; give --job N".into());
@@ -1087,22 +1000,7 @@ fn cmd_status(args: &[String]) -> Result<bool, String> {
 /// asserts the resumed digests and VM counters are byte-identical to an
 /// uninterrupted one-shot sweep — with no checkpointed shard re-run.
 fn cmd_chaos(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    // The same wire restrictions as `submit`: the drill's jobs travel over
-    // the real protocol.
-    if opts.profile.name == "custom" {
-        return Err(
-            "chaos jobs pin preset profiles (smoke | default | deep | boundary-heavy); \
-             knob overrides like --type-depth do not travel over the wire"
-                .into(),
-        );
-    }
-    if opts.shard.is_some() {
-        return Err("chaos shards its jobs itself; use --shards N instead of --shard K/N".into());
-    }
-    if opts.broken {
-        return Err("--broken is not supported for chaos jobs".into());
-    }
+    let opts = parse_options("chaos", args)?;
     let binary = std::env::current_exe()
         .map_err(|e| format!("cannot locate the semint binary to drill: {e}"))?;
     let state_root = match &opts.state_dir {
@@ -1185,117 +1083,155 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Options, String> {
-        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        parse_options(&owned)
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(command: &str, args: &[&str]) -> Result<Options, String> {
+        parse_options(command, &owned(args))
     }
 
     #[test]
     fn reversed_seed_ranges_are_rejected_with_a_friendly_error() {
-        let err = parse(&["--seeds", "50..10"]).unwrap_err();
+        let err = parse("sweep", &["--seeds", "50..10"]).unwrap_err();
         assert!(err.contains("reversed"), "{err}");
         // No panic (debug-build underflow) either way round.
-        let err = parse(&["--seeds", "7..7"]).unwrap_err();
+        let err = parse("sweep", &["--seeds", "7..7"]).unwrap_err();
         assert!(err.contains("empty"), "{err}");
     }
 
     #[test]
     fn well_formed_seed_ranges_parse() {
-        let opts = parse(&["--seeds", "3..9"]).unwrap();
+        let opts = parse("sweep", &["--seeds", "3..9"]).unwrap();
         assert_eq!(opts.range, (3, 9));
     }
 
     #[test]
     fn time_flag_enables_stage_timing() {
-        assert!(!parse(&[]).unwrap().time);
-        let opts = parse(&["--time"]).unwrap();
+        assert!(!parse("sweep", &[]).unwrap().time);
+        let opts = parse("sweep", &["--time"]).unwrap();
         assert!(opts.time);
         assert!(sweep_config(&opts).time);
     }
 
     #[test]
     fn unknown_options_are_rejected() {
-        assert!(parse(&["--nope"]).unwrap_err().contains("--nope"));
+        assert!(parse("sweep", &["--nope"]).unwrap_err().contains("--nope"));
     }
 
     #[test]
     fn check_rejects_no_model_check_instead_of_overriding_it() {
-        assert!(parse(&[]).unwrap().model_check, "on by default");
-        assert!(!parse(&["--no-model-check"]).unwrap().model_check);
+        assert!(parse("sweep", &[]).unwrap().model_check, "on by default");
+        assert!(!parse("sweep", &["--no-model-check"]).unwrap().model_check);
         // Rejected before any scenario runs.
         let err = cmd_check(&["--no-model-check".into()]).unwrap_err();
         assert!(err.contains("--no-model-check"), "{err}");
     }
 
     #[test]
+    fn flags_a_subcommand_would_ignore_are_usage_errors() {
+        type Command = fn(&[String]) -> Result<bool, String>;
+        // Each of these used to be accepted and ignored; now each fails in
+        // parsing, before any sweep runs or any connection is attempted.
+        let probes: [(Command, &[&str], &str); 8] = [
+            (cmd_sweep, &["--seeds", "0..2", "--seed", "7"], "--seed"),
+            (cmd_check, &["--save", "x.tsv"], "--save"),
+            (cmd_check, &["--trace", "t.jsonl"], "--trace"),
+            (cmd_run, &["--save", "r.tsv"], "--save"),
+            (
+                cmd_status,
+                &["--port", "1", "--profile", "deep"],
+                "--profile",
+            ),
+            (cmd_submit, &["--port", "1", "--time"], "--time"),
+            (cmd_chaos, &["--no-model-check"], "--no-model-check"),
+            (cmd_sweep, &["--type-depth", "3"], "--type-depth"),
+        ];
+        for (command, args, flag) in probes {
+            let err = command(&owned(args)).expect_err(flag);
+            assert!(err.contains(&format!("take `{flag}`")), "{err}");
+        }
+    }
+
+    /// Every `--flag` token `USAGE` mentions.
+    fn usage_flags() -> std::collections::BTreeSet<&'static str> {
+        USAGE
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|word| word.starts_with("--") && word.len() > 2)
+            .collect()
+    }
+
+    /// A value each table flag accepts (`None` for switches).
+    fn valid_value(flag: &str) -> Option<&'static str> {
+        match flag {
+            "--no-model-check" | "--time" | "--broken" | "--progress" | "--resume" | "--wait"
+            | "--shutdown" => None,
+            "--case" => Some("memgc"),
+            "--seeds" => Some("0..4"),
+            "--shard" => Some("0/2"),
+            "--profile" => Some("deep"),
+            "--fault-kind" => Some("wedge"),
+            "--corrupt-save" => Some("garbage"),
+            "--save" | "--trace" | "--log" | "--state-dir" => Some("path"),
+            _ => Some("1"),
+        }
+    }
+
+    #[test]
+    fn the_flag_tables_match_usage_and_every_entry_parses() {
+        let documented = usage_flags();
+        let mut tabled = std::collections::BTreeSet::new();
+        for (command, flags) in FLAGS {
+            for flag in flags {
+                tabled.insert(*flag);
+                let mut args = vec![*flag];
+                args.extend(valid_value(flag));
+                parse(command, &args).unwrap_or_else(|e| panic!("{command} {flag}: {e}"));
+            }
+        }
+        assert_eq!(documented, tabled, "USAGE and the flag tables disagree");
+    }
+
+    #[test]
     fn batch_sizes_parse_and_zero_is_rejected_not_clamped() {
-        assert_eq!(parse(&[]).unwrap().batch, 1, "default is one per machine");
-        let opts = parse(&["--batch", "8"]).unwrap();
+        assert_eq!(
+            parse("sweep", &[]).unwrap().batch,
+            1,
+            "default is one per machine"
+        );
+        let opts = parse("sweep", &["--batch", "8"]).unwrap();
         assert_eq!(opts.batch, 8);
         assert_eq!(sweep_config(&opts).batch, 8);
-        let err = parse(&["--batch", "0"]).unwrap_err();
+        let err = parse("sweep", &["--batch", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        let err = parse(&["--batch", "many"]).unwrap_err();
+        let err = parse("sweep", &["--batch", "many"]).unwrap_err();
         assert!(err.contains("--batch"), "{err}");
-        assert!(parse(&["--batch"]).unwrap_err().contains("--batch"));
+        assert!(parse("sweep", &["--batch"])
+            .unwrap_err()
+            .contains("--batch"));
     }
 
     #[test]
     fn profiles_parse_and_unknown_profiles_are_rejected() {
-        let opts = parse(&["--profile", "deep"]).unwrap();
+        let opts = parse("sweep", &["--profile", "deep"]).unwrap();
         assert_eq!(opts.profile, GenProfile::deep());
-        let err = parse(&["--profile", "turbo"]).unwrap_err();
+        let err = parse("sweep", &["--profile", "turbo"]).unwrap_err();
         assert!(err.contains("turbo") && err.contains("deep"), "{err}");
     }
 
     #[test]
-    fn knob_overrides_apply_on_top_of_the_profile_in_any_flag_order() {
-        let a = parse(&["--profile", "deep", "--boundary-bias", "60"]).unwrap();
-        let b = parse(&["--boundary-bias", "60", "--profile", "deep"]).unwrap();
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(a.profile.boundary_bias, 60);
-        assert_eq!(a.profile.type_depth, GenProfile::deep().type_depth);
-        assert_eq!(a.profile.name, "custom");
-    }
-
-    #[test]
-    fn invalid_profile_knobs_are_friendly_errors_not_clamps() {
-        let err = parse(&["--boundary-bias", "250"]).unwrap_err();
-        assert!(err.contains("0-100"), "{err}");
-        let err = parse(&["--fuel", "0"]).unwrap_err();
-        assert!(err.contains("fuel"), "{err}");
-        let err = parse(&["--type-depth", "0"]).unwrap_err();
-        assert!(err.contains("type depth"), "{err}");
-        // A usage error, so exit status 2, never a clamp to the cap.
-        let err = parse(&["--type-depth", "13"]).unwrap_err();
-        assert!(err.contains("maximum of 12"), "{err}");
-        assert_eq!(
-            parse(&["--type-depth", "12"]).unwrap().profile.type_depth,
-            12
-        );
-        let err = parse(&["--weights", "0,0,0"]).unwrap_err();
-        assert!(err.contains("weights"), "{err}");
-        let err = parse(&["--weights", "1,2"]).unwrap_err();
-        assert!(err.contains("L,B,W"), "{err}");
-    }
-
-    #[test]
     fn shards_parse_and_validate() {
-        let opts = parse(&["--shard", "1/4"]).unwrap();
+        let opts = parse("sweep", &["--shard", "1/4"]).unwrap();
         assert_eq!(opts.shard, Some((1, 4)));
-        assert!(parse(&["--shard", "4/4"])
+        assert!(parse("sweep", &["--shard", "4/4"])
             .unwrap_err()
             .contains("out of range"));
-        assert!(parse(&["--shard", "0/0"])
+        assert!(parse("sweep", &["--shard", "0/0"])
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&["--shard", "nonsense"]).unwrap_err().contains("K/N"));
-    }
-
-    #[test]
-    fn oversized_weights_are_rejected_not_overflowed() {
-        let err = parse(&["--weights", "3000000000,3000000000,1"]).unwrap_err();
-        assert!(err.contains("at or below"), "{err}");
+        assert!(parse("sweep", &["--shard", "nonsense"])
+            .unwrap_err()
+            .contains("K/N"));
     }
 
     #[test]
@@ -1312,12 +1248,14 @@ mod tests {
 
     #[test]
     fn trace_and_progress_flags_parse() {
-        let opts = parse(&[]).unwrap();
+        let opts = parse("sweep", &[]).unwrap();
         assert!(opts.trace.is_none() && !opts.progress);
-        let opts = parse(&["--trace", "t.jsonl", "--progress"]).unwrap();
+        let opts = parse("sweep", &["--trace", "t.jsonl", "--progress"]).unwrap();
         assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
         assert!(opts.progress);
-        assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
+        assert!(parse("sweep", &["--trace"])
+            .unwrap_err()
+            .contains("--trace"));
     }
 
     #[test]
@@ -1327,7 +1265,7 @@ mod tests {
 
     #[test]
     fn serve_flags_parse_with_documented_defaults() {
-        let opts = parse(&[]).unwrap();
+        let opts = parse("serve", &[]).unwrap();
         assert_eq!(opts.port, DEFAULT_PORT);
         assert_eq!(opts.workers, 4);
         assert_eq!(opts.queue_capacity, 16);
@@ -1338,26 +1276,23 @@ mod tests {
         assert_eq!(opts.max_retries, 2);
         assert_eq!(opts.shards, 0, "0 = one shard per daemon worker");
         assert!(opts.job.is_none() && !opts.wait && !opts.shutdown);
-        let opts = parse(&[
-            "--port",
-            "0",
-            "--workers",
-            "2",
-            "--queue-capacity",
-            "3",
-            "--worker-timeout-ms",
-            "5000",
-            "--max-retries",
-            "1",
-            "--log",
-            "serve.log",
-            "--shards",
-            "6",
-            "--job",
-            "4",
-            "--wait",
-            "--shutdown",
-        ])
+        let opts = parse(
+            "serve",
+            &[
+                "--port",
+                "0",
+                "--workers",
+                "2",
+                "--queue-capacity",
+                "3",
+                "--worker-timeout-ms",
+                "5000",
+                "--max-retries",
+                "1",
+                "--log",
+                "serve.log",
+            ],
+        )
         .unwrap();
         assert_eq!(opts.port, 0);
         assert_eq!(opts.workers, 2);
@@ -1365,69 +1300,65 @@ mod tests {
         assert_eq!(opts.worker_timeout_ms, Some(5000));
         assert_eq!(opts.max_retries, 1);
         assert_eq!(opts.log.as_deref(), Some("serve.log"));
+        let opts = parse("submit", &["--shards", "6", "--shutdown"]).unwrap();
         assert_eq!(opts.shards, 6);
+        assert!(opts.shutdown);
+        let opts = parse("status", &["--job", "4", "--wait"]).unwrap();
         assert_eq!(opts.job, Some(4));
-        assert!(opts.wait && opts.shutdown);
-        assert!(parse(&["--workers", "0"])
+        assert!(opts.wait);
+        assert!(parse("serve", &["--workers", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&["--queue-capacity", "0"])
+        assert!(parse("serve", &["--queue-capacity", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&["--worker-timeout-ms", "0"])
+        assert!(parse("serve", &["--worker-timeout-ms", "0"])
             .unwrap_err()
             .contains("at least 1"));
     }
 
     #[test]
     fn fault_injection_flags_parse_and_zero_die_after_is_rejected() {
-        let opts = parse(&["--fault-shard", "1", "--fault-after", "5"]).unwrap();
+        let opts = parse("submit", &["--fault-shard", "1", "--fault-after", "5"]).unwrap();
         assert_eq!(opts.fault_shard, Some(1));
         assert_eq!(opts.fault_after, Some(5));
         assert_eq!(opts.fault_kind, None, "submit defaults the kind to crash");
-        let opts = parse(&["--die-after", "3"]).unwrap();
+        let opts = parse("sweep", &["--die-after", "3"]).unwrap();
         assert_eq!(opts.die_after, Some(3));
-        assert!(parse(&["--die-after", "0"])
+        assert!(parse("sweep", &["--die-after", "0"])
             .unwrap_err()
             .contains("at least 1"));
     }
 
     #[test]
     fn crash_safety_flags_parse_and_validate() {
-        let opts = parse(&[]).unwrap();
+        let opts = parse("sweep", &[]).unwrap();
         assert!(opts.state_dir.is_none() && !opts.resume);
         assert_eq!(opts.rounds, 1);
         assert!(opts.fault_kind.is_none());
         assert!(opts.wedge_after.is_none() && opts.corrupt_save.is_none());
-        let opts = parse(&[
-            "--state-dir",
-            "state",
-            "--resume",
-            "--rounds",
-            "3",
-            "--fault-kind",
-            "wedge",
-            "--wedge-after",
-            "4",
-            "--corrupt-save",
-            "truncate",
-        ])
-        .unwrap();
+        let opts = parse("serve", &["--state-dir", "state", "--resume"]).unwrap();
         assert_eq!(opts.state_dir.as_deref(), Some("state"));
         assert!(opts.resume);
-        assert_eq!(opts.rounds, 3);
+        assert_eq!(parse("chaos", &["--rounds", "3"]).unwrap().rounds, 3);
+        let opts = parse("submit", &["--fault-kind", "wedge"]).unwrap();
         assert_eq!(opts.fault_kind, Some(FaultKind::Wedge));
+        let opts = parse(
+            "sweep",
+            &["--wedge-after", "4", "--corrupt-save", "truncate"],
+        )
+        .unwrap();
         assert_eq!(opts.wedge_after, Some(4));
         assert_eq!(opts.corrupt_save.as_deref(), Some("truncate"));
-        assert!(parse(&["--rounds", "0"])
+        assert!(parse("chaos", &["--rounds", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&["--wedge-after", "0"])
+        assert!(parse("sweep", &["--wedge-after", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        let err = parse(&["--fault-kind", "segfault"]).unwrap_err();
+        let err = parse("submit", &["--fault-kind", "segfault"]).unwrap_err();
         assert!(err.contains("fault kind"), "{err}");
-        let err = parse(&["--corrupt-save", "zero-out"]).unwrap_err();
+        let err = parse("sweep", &["--corrupt-save", "zero-out"]).unwrap_err();
         assert!(err.contains("garbage"), "{err}");
     }
 
@@ -1436,8 +1367,6 @@ mod tests {
         let err = cmd_submit(&["--fault-kind".into(), "wedge".into()]).unwrap_err();
         assert!(err.contains("--fault-shard"), "{err}");
         // Chaos validation happens before any daemon or baseline is built.
-        let err = cmd_chaos(&["--type-depth".into(), "5".into()]).unwrap_err();
-        assert!(err.contains("preset"), "{err}");
         let err = cmd_chaos(&["--shard".into(), "0/2".into()]).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
         let err = cmd_chaos(&["--broken".into()]).unwrap_err();
@@ -1478,8 +1407,6 @@ mod tests {
         assert!(err.contains("--job"), "{err}");
         // Validation happens before any connection attempt, so these fail
         // fast even with no daemon listening.
-        let err = cmd_submit(&["--type-depth".into(), "5".into()]).unwrap_err();
-        assert!(err.contains("preset"), "{err}");
         let err = cmd_submit(&["--shard".into(), "0/2".into()]).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
         let err = cmd_submit(&["--broken".into()]).unwrap_err();
@@ -1490,10 +1417,10 @@ mod tests {
 
     #[test]
     fn build_source_picks_range_or_shard() {
-        let opts = parse(&["--seeds", "0..12"]).unwrap();
+        let opts = parse("sweep", &["--seeds", "0..12"]).unwrap();
         let source = build_source(&opts).unwrap();
         assert_eq!(source.seeds("any").len(), 12);
-        let opts = parse(&["--seeds", "0..12", "--shard", "0/3"]).unwrap();
+        let opts = parse("sweep", &["--seeds", "0..12", "--shard", "0/3"]).unwrap();
         let source = build_source(&opts).unwrap();
         assert_eq!(source.seeds("any"), vec![0, 3, 6, 9]);
     }

@@ -27,6 +27,7 @@ use semint_core::stats::{
     CaseReport, FailStage, FailureRecord, ScenarioRecord, StageTimings, SweepReport,
 };
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -174,6 +175,23 @@ fn seal(mut record: ScenarioRecord, timings: StageTimings, time: bool) -> Scenar
     record
 }
 
+/// A `fmt::Write` sink that counts the characters written to it.
+struct CharCount(usize);
+
+impl fmt::Write for CharCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.chars().count();
+        Ok(())
+    }
+}
+
+/// The length of `value`'s rendering in characters, without building it.
+fn rendered_chars(value: &impl fmt::Display) -> usize {
+    let mut count = CharCount(0);
+    fmt::write(&mut count, format_args!("{value}")).expect("CharCount never fails");
+    count.0
+}
+
 /// Runs the pre-execution pipeline stages on a generated scenario: the one
 /// typecheck, the one compile, and the model check *borrowing* the artifact
 /// (execution consumes it later, so nothing is cloned on the hot path).
@@ -187,24 +205,27 @@ fn prepare_generated<C: CaseStudy>(
     cfg: &SweepConfig,
 ) -> Prepared<C> {
     let seed = scenario.seed;
-    let rendered = scenario.program.to_string();
     let mut timings = StageTimings::default();
     let mut record = ScenarioRecord {
         seed,
         ty: scenario.ty.to_string(),
-        program_chars: rendered.chars().count(),
+        program_chars: rendered_chars(&scenario.program),
         boundaries: case.boundary_count(&scenario.program),
         stats: None,
         failure: None,
         timings: None,
     };
-    let plain_failure = |stage: FailStage, reason: String| FailureRecord {
-        seed,
-        stage,
-        reason,
-        witness: rendered.clone(),
-        shrunk: rendered.clone(),
-        shrink_steps: 0,
+    // Only a failing scenario needs its program as text.
+    let plain_failure = |stage: FailStage, reason: String| {
+        let rendered = scenario.program.to_string();
+        FailureRecord {
+            seed,
+            stage,
+            reason,
+            witness: rendered.clone(),
+            shrunk: rendered,
+            shrink_steps: 0,
+        }
     };
 
     // 1. The generator's type claim must re-check — the only typecheck the
@@ -475,9 +496,8 @@ fn check_size(source: &(impl ScenarioSource + ?Sized), case_names: &[&str]) {
     );
 }
 
-/// Batch sizes are validated, never clamped — the same policy as
-/// [`GenProfile::validate`]; the CLI turns `--batch 0` into a usage error
-/// before a sweep configuration is ever built.
+/// Batch sizes are validated, never clamped; the CLI turns `--batch 0`
+/// into a usage error before a sweep configuration is ever built.
 fn check_batch(cfg: &SweepConfig) {
     assert!(
         cfg.batch >= 1,

@@ -83,9 +83,8 @@ pub struct FaultPlan {
 }
 
 /// One sweep request as submitted over the wire: a seed range, a *preset*
-/// profile name (customised knobs don't serialise; the wire protocol pins
-/// presets so worker processes rebuild the identical profile by name), and
-/// the fan-out/execution shape.
+/// profile name (worker processes rebuild the identical profile by name),
+/// and the fan-out/execution shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Seed range `[start, end)`.

@@ -44,9 +44,9 @@
 //! seeds come from a [`harness::source::ScenarioSource`] (a seed range or a
 //! deterministic k-of-n shard of one), and every scenario is generated with
 //! one [`core::case::GenProfile`] (presets `smoke`, `default`, `deep`,
-//! `boundary-heavy`, or any of them with knobs overridden).  Generation is
-//! deterministic in `(case, seed, profile)`, so those two name the whole
-//! population.  The same engine backs the `semint` binary:
+//! `boundary-heavy`).  Generation is deterministic in `(case, seed,
+//! profile)`, so those two name the whole population.  The same engine
+//! backs the `semint` binary:
 //!
 //! ```text
 //! semint sweep --seeds 0..200 --jobs 4          # parallel sweep, aggregate report

@@ -223,9 +223,7 @@ fn generator_output_is_pinned_for_four_profiles() {
         },
         fuel: Fuel::steps(100_000),
         ..GenProfile::deep()
-    }
-    .validated()
-    .expect("custom profile is valid");
+    };
     let pins: [(GenProfile, [CasePin; 3]); 4] = [
         (
             GenProfile::smoke(),
