@@ -402,49 +402,55 @@ impl AffineProgramGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::AffineMultiLang;
+    use crate::multilang::{AffProgram, AffSourceType};
+    use crate::AffineCase;
+    use semint_core::{CaseStudy, Fuel};
 
     #[test]
     fn generated_affi_programs_typecheck_at_the_requested_type() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         for seed in 0..80 {
             let mut gen = AffineProgramGen::new(seed);
             let ty = gen.gen_affi_type(2);
             let e = gen.gen_affi(&ty);
-            let checked = sys
-                .typecheck_affi(&e)
+            let checked = case
+                .type_of(&AffProgram::Affi(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(checked, ty, "seed {seed}");
+            assert_eq!(checked, AffSourceType::Affi(ty), "seed {seed}");
         }
     }
 
     #[test]
     fn generated_ml_programs_typecheck() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         for seed in 0..80 {
             let mut gen = AffineProgramGen::new(seed);
             let e = gen.gen_ml(&MlType::Int);
-            let ty = sys
-                .typecheck_ml(&e)
+            let ty = case
+                .type_of(&AffProgram::Ml(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(ty, MlType::Int);
+            assert_eq!(ty, AffSourceType::Ml(MlType::Int));
         }
     }
 
     #[test]
     fn generated_programs_run_safely_under_both_semantics() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         for seed in 0..60 {
             let mut gen = AffineProgramGen::new(seed);
             let ty = gen.gen_affi_type(1);
             let e = gen.gen_affi(&ty);
-            let compiled = sys.compile_affi(&e).expect("compiles");
+            let program = AffProgram::Affi(e.clone());
+            let compiled = case.compile(&program).expect("compiles");
             assert!(
-                sys.run(&compiled).halt.is_safe(),
+                case.run(&program, Fuel::default())
+                    .expect("compiles")
+                    .halt
+                    .is_safe(),
                 "seed {seed}: standard run unsafe for {e}"
             );
             assert!(
-                sys.run_phantom(&compiled).halt.is_safe(),
+                case.run_phantom(&compiled, Fuel::default()).halt.is_safe(),
                 "seed {seed}: phantom run unsafe for {e}"
             );
         }
@@ -483,7 +489,7 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen = AffineProgramGen::with_config(
@@ -494,10 +500,10 @@ mod tests {
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
-            let checked = sys
-                .typecheck_affi(&e)
+            let checked = case
+                .type_of(&AffProgram::Affi(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(checked, ty, "seed {seed}");
+            assert_eq!(checked, AffSourceType::Affi(ty), "seed {seed}");
         }
         assert!(
             max_depth_seen >= 4,
@@ -507,17 +513,17 @@ mod tests {
 
     #[test]
     fn deep_ml_goal_types_typecheck_too() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         let profile = GenProfile::deep();
         for seed in 0..40 {
             let mut gen =
                 AffineProgramGen::with_config(seed, profile, AffineConversions::standard());
             let ty = gen.gen_ml_type(profile.type_depth);
             let e = gen.gen_ml(&ty);
-            let checked = sys
-                .typecheck_ml(&e)
+            let checked = case
+                .type_of(&AffProgram::Ml(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(checked, ty, "seed {seed}");
+            assert_eq!(checked, AffSourceType::Ml(ty), "seed {seed}");
         }
     }
 

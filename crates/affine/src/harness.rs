@@ -1,27 +1,31 @@
 //! The [`CaseStudy`] instance for case study 2 (affine ⊸ unrestricted
 //! interoperability), consumed by the `semint-harness` engine.
 
-use crate::compile::CompileOutput;
+use crate::compile::{CompileOutput, Compiler};
+use crate::convert::AffineConversions;
 use crate::gen::AffineProgramGen;
 use crate::model::{AffineModelChecker, AffineSemType};
-use crate::multilang::AffineMultiLang;
-use crate::syntax::{AffiType, MlType};
-use lcvm::{Machine, RunResult};
+use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
+use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
+use lcvm::{Machine, MachineConfig, PhantomConfig, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats};
+use std::collections::BTreeSet;
 
 pub use crate::multilang::{AffProgram, AffSourceType};
-use crate::syntax::{AffiExpr, MlExpr};
 
-/// Case study 2 packaged for the harness engine.
+/// Case study 2 as one object: the Fig. 9 rule set with its glue, the
+/// Affi/MiniML typecheckers and compilers, LCVM under the standard or the
+/// augmented (phantom-flag) semantics, and the Fig. 10 model, packaged for
+/// the harness engine.
 ///
 /// The `broken` flag simulates an unsound extra rule `int ∼ bool` whose glue
 /// forgets to normalise: `int`-typed scenarios are claimed at the boolean
 /// relation, which only integers 0/1 inhabit, so most scenarios are refuted.
 #[derive(Debug, Clone)]
 pub struct AffineCase {
-    system: AffineMultiLang,
+    conversions: AffineConversions,
     broken: bool,
 }
 
@@ -29,7 +33,7 @@ impl AffineCase {
     /// The standard (sound) rule set.
     pub fn standard() -> Self {
         AffineCase {
-            system: AffineMultiLang::new(),
+            conversions: AffineConversions::standard(),
             broken: false,
         }
     }
@@ -37,9 +41,48 @@ impl AffineCase {
     /// The deliberately broken claim (see the type-level docs).
     pub fn broken() -> Self {
         AffineCase {
-            system: AffineMultiLang::new(),
+            conversions: AffineConversions::standard(),
             broken: true,
         }
+    }
+
+    /// The conversion rule set in use.
+    pub fn conversions(&self) -> &AffineConversions {
+        &self.conversions
+    }
+
+    /// Type checks a closed program (either host language), keeping the
+    /// typed error that [`CaseStudy::typecheck`] renders.
+    pub fn type_of(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
+        let ctx = AffineCtx::empty();
+        match program {
+            AffProgram::Affi(e) => {
+                check_affi(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Affi(t))
+            }
+            AffProgram::Ml(e) => {
+                check_ml(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Ml(t))
+            }
+        }
+    }
+
+    /// Type checks, compiles and runs a closed program under the *standard*
+    /// semantics and `fuel`.
+    pub fn run(&self, program: &AffProgram, fuel: Fuel) -> Result<RunResult, String> {
+        self.typecheck(program)?;
+        Ok(Machine::run_expr(self.compile(program)?.expr, fuel))
+    }
+
+    /// Runs a compiled program under the *augmented* (phantom-flag)
+    /// semantics, protecting exactly the static binders the compiler
+    /// reported.
+    pub fn run_phantom(&self, compiled: &CompileOutput, fuel: Fuel) -> RunResult {
+        let cfg = MachineConfig {
+            phantom: Some(PhantomConfig::protecting(
+                compiled.static_binders.iter().cloned(),
+            )),
+            pinned: BTreeSet::new(),
+        };
+        Machine::with_config(compiled.expr.clone(), cfg).run(fuel)
     }
 }
 
@@ -115,8 +158,7 @@ impl CaseStudy for AffineCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<AffProgram, AffSourceType> {
-        let mut gen =
-            AffineProgramGen::with_config(seed, *profile, self.system.conversions().clone());
+        let mut gen = AffineProgramGen::with_config(seed, *profile, self.conversions.clone());
         // Every fourth scenario is MiniML-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_ml_type(profile.type_depth);
@@ -138,11 +180,16 @@ impl CaseStudy for AffineCase {
     }
 
     fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, String> {
-        self.system.typecheck(program).map_err(|e| e.to_string())
+        self.type_of(program).map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &AffProgram) -> Result<CompileOutput, String> {
-        self.system.compile_only(program).map_err(|e| e.to_string())
+        let compiler = Compiler::new(&self.conversions, &self.conversions);
+        match program {
+            AffProgram::Affi(e) => compiler.compile_affi_program(e),
+            AffProgram::Ml(e) => compiler.compile_ml_program(e),
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// Drives the whole batch through **one** LCVM machine under the
@@ -173,9 +220,8 @@ impl CaseStudy for AffineCase {
         checker
             .check_safety(&compiled.expr, &compiled.static_binders)
             .map_err(|ce| CheckFailure {
-                claim: ce.claim,
                 witness: program.to_string(),
-                reason: ce.reason,
+                ..ce
             })?;
 
         // The claimed-type membership check, where the broken rule bites:
@@ -231,18 +277,14 @@ impl CaseStudy for AffineCase {
                 if ce.reason.contains("not derivable") {
                     continue;
                 }
-                return Err(CheckFailure {
-                    claim: ce.claim,
-                    witness: ce.witness,
-                    reason: ce.reason,
-                });
+                return Err(ce);
             }
         }
         Ok(())
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.system.conversions().cache().stats())
+        Some(self.conversions.cache().stats())
     }
 }
 

@@ -26,7 +26,11 @@
 //!   so the augmented (phantom) semantics can protect them;
 //! * [`convert`] — the Fig. 9 conversions, represented as ordinary LCVM
 //!   functions;
-//! * [`multilang`] — the end-to-end driver (type check → compile → run);
+//! * [`harness`] — [`AffineCase`], the case study as one object: it owns
+//!   the rule set, type checks, compiles and runs programs (standard or
+//!   phantom semantics), and implements the engine's `CaseStudy` trait;
+//! * [`multilang`] — the closed programs and source types of either host
+//!   language;
 //! * [`model`] — an executable approximation of the Fig. 10 logical relation
 //!   and of the §4 soundness theorems, including the phantom-flag
 //!   erasure/agreement property.
@@ -44,5 +48,4 @@ pub mod syntax;
 pub mod typecheck;
 
 pub use harness::{AffProgram, AffineCase};
-pub use multilang::{AffineMultiLang, AffineMultiLangError};
 pub use syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};

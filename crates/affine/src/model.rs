@@ -24,26 +24,9 @@ use crate::compile::thunk_guard;
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiType, MlType, Mode};
 use lcvm::{Expr, Halt, Machine, MachineConfig, PhantomConfig, Value};
-use semint_core::{ErrorCode, Fuel, Var};
+use semint_core::{CheckFailure, ErrorCode, Fuel, Var};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// A counterexample to one of the §4 properties.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AffineCounterExample {
-    /// The property that failed.
-    pub claim: String,
-    /// A rendering of the offending value/program.
-    pub witness: String,
-    /// Why it failed.
-    pub reason: String,
-}
-
-impl fmt::Display for AffineCounterExample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {} — {}", self.claim, self.witness, self.reason)
-    }
-}
 
 /// A source type of either §4 language.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,19 +304,15 @@ impl AffineModelChecker {
     /// The §4 analogue of Lemma 3.1: both directions of the registered
     /// conversion for `𝜏 ∼ τ` map sampled inhabitants into the expression
     /// relation at the other type.
-    pub fn check_convertibility(
-        &self,
-        affi: &AffiType,
-        ml: &MlType,
-    ) -> Result<(), AffineCounterExample> {
-        let (to_ml, to_affi) =
-            self.conversions
-                .derive(affi, ml)
-                .ok_or_else(|| AffineCounterExample {
-                    claim: format!("{affi} ∼ {ml}"),
-                    witness: "-".into(),
-                    reason: "rule not derivable".into(),
-                })?;
+    pub fn check_convertibility(&self, affi: &AffiType, ml: &MlType) -> Result<(), CheckFailure> {
+        let (to_ml, to_affi) = self
+            .conversions
+            .derive(affi, ml)
+            .ok_or_else(|| CheckFailure {
+                claim: format!("{affi} ∼ {ml}"),
+                witness: "-".into(),
+                reason: "rule not derivable".into(),
+            })?;
         self.check_direction(
             &AffineSemType::Affi(affi.clone()),
             &AffineSemType::Ml(ml.clone()),
@@ -352,11 +331,11 @@ impl AffineModelChecker {
         from: &AffineSemType,
         to: &AffineSemType,
         glue: &Expr,
-    ) -> Result<(), AffineCounterExample> {
+    ) -> Result<(), CheckFailure> {
         for v in self.sample_values(from, self.fun_depth) {
             let prog = Expr::app(glue.clone(), value_to_expr(&v));
             if !self.expr_in(prog, to) {
-                return Err(AffineCounterExample {
+                return Err(CheckFailure {
                     claim: format!("C_{{{from} ↦ {to}}} sound"),
                     witness: v.to_string(),
                     reason: format!("conversion output is not in E⟦{to}⟧"),
@@ -373,10 +352,10 @@ impl AffineModelChecker {
         &self,
         expr: &Expr,
         static_binders: &BTreeSet<Var>,
-    ) -> Result<(), AffineCounterExample> {
+    ) -> Result<(), CheckFailure> {
         let standard = Machine::run_expr(expr.clone(), self.fuel);
         if !standard.halt.is_safe() {
-            return Err(AffineCounterExample {
+            return Err(CheckFailure {
                 claim: "type safety (standard semantics)".into(),
                 witness: expr.to_string(),
                 reason: format!("{:?}", standard.halt),
@@ -388,14 +367,14 @@ impl AffineModelChecker {
         };
         let phantom = Machine::with_config(expr.clone(), cfg).run(self.fuel);
         if !phantom.halt.is_safe() {
-            return Err(AffineCounterExample {
+            return Err(CheckFailure {
                 claim: "type safety (augmented semantics)".into(),
                 witness: expr.to_string(),
                 reason: format!("{:?}", phantom.halt),
             });
         }
         match (&standard.halt, &phantom.halt) {
-            (Halt::Value(a), Halt::Value(b)) if a != b => Err(AffineCounterExample {
+            (Halt::Value(a), Halt::Value(b)) if a != b => Err(CheckFailure {
                 claim: "erasure agreement".into(),
                 witness: expr.to_string(),
                 reason: format!("standard gave {a}, augmented gave {b}"),
@@ -449,8 +428,17 @@ fn closure_constant(v: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::AffineMultiLang;
+    use crate::multilang::AffProgram;
     use crate::syntax::{AffiExpr, MlExpr};
+    use crate::AffineCase;
+    use semint_core::CaseStudy;
+
+    /// Type checks and compiles a closed program.
+    fn compile(program: AffProgram) -> crate::compile::CompileOutput {
+        let case = AffineCase::standard();
+        case.typecheck(&program).expect("typechecks");
+        case.compile(&program).expect("compiles")
+    }
 
     fn checker() -> AffineModelChecker {
         AffineModelChecker::new()
@@ -474,11 +462,12 @@ mod tests {
     #[test]
     fn dynamic_arrow_membership_checks_guarded_application() {
         let c = checker();
-        let sys = AffineMultiLang::new();
         // The compiled Affi identity int ⊸ int is in V⟦int ⊸ int⟧.
-        let compiled = sys
-            .compile_affi(&AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")))
-            .unwrap();
+        let compiled = compile(AffProgram::Affi(AffiExpr::lam(
+            "a",
+            AffiType::Int,
+            AffiExpr::avar("a"),
+        )));
         let v = Machine::run_expr(compiled.expr, Fuel::default())
             .halt
             .value()
@@ -550,12 +539,11 @@ mod tests {
     #[test]
     fn safety_checker_accepts_well_typed_programs_and_catches_stuck_phantoms() {
         let c = checker();
-        let sys = AffineMultiLang::new();
         let e = AffiExpr::app(
             AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("a")),
             AffiExpr::int(3),
         );
-        let compiled = sys.compile_affi(&e).unwrap();
+        let compiled = compile(AffProgram::Affi(e));
         c.check_safety(&compiled.expr, &compiled.static_binders)
             .unwrap();
 
@@ -572,7 +560,6 @@ mod tests {
     #[test]
     fn miniml_boundary_programs_pass_the_safety_check() {
         let c = checker();
-        let sys = AffineMultiLang::new();
         let e = MlExpr::add(
             MlExpr::int(1),
             MlExpr::boundary(
@@ -583,7 +570,7 @@ mod tests {
                 MlType::Int,
             ),
         );
-        let compiled = sys.compile_ml(&e).unwrap();
+        let compiled = compile(AffProgram::Ml(e));
         c.check_safety(&compiled.expr, &compiled.static_binders)
             .unwrap();
     }

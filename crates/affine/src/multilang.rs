@@ -1,25 +1,13 @@
-//! The end-to-end driver for case study 2: type check → compile → run, under
-//! either the standard LCVM semantics or the augmented (phantom-flag)
-//! semantics that additionally enforces the static affine discipline.
+//! The closed programs and source types of case study 2.
 //!
-//! [`AffineMultiLang`] owns the Fig. 9 rule set and the fuel budget and
-//! sequences the stages itself: Affi/MiniML typecheck, compile with glue,
-//! and an LCVM run — plus the phantom-semantics runner, which is unique to
-//! this case study.
+//! A §4 multi-language program is hosted in either Affi or MiniML; these
+//! enums name the two hosts.  [`crate::AffineCase`] typechecks, compiles and
+//! runs them, under either the standard LCVM semantics or the augmented
+//! (phantom-flag) semantics that additionally enforces the static affine
+//! discipline.
 
-use crate::compile::{CompileError, CompileOutput, Compiler};
-use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
-use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
-use lcvm::{Machine, MachineConfig, PhantomConfig, RunResult};
-use semint_core::pipeline::PipelineError;
-use semint_core::Fuel;
-use std::collections::BTreeSet;
 use std::fmt;
-
-/// Errors from the §4 pipeline: the shared [`PipelineError`] shape
-/// instantiated at this case study's stage errors.
-pub type AffineMultiLangError = PipelineError<AffineTypeError, CompileError>;
 
 /// A closed §4 multi-language program, hosted in either language.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,123 +45,30 @@ impl fmt::Display for AffSourceType {
     }
 }
 
-/// The §4 multi-language system: MiniML + Affi + the Fig. 9 conversions over
-/// LCVM.
-#[derive(Debug, Clone, Default)]
-pub struct AffineMultiLang {
-    conversions: AffineConversions,
-    fuel: Fuel,
-}
-
-impl AffineMultiLang {
-    /// A system with the standard rule set and default fuel.
-    pub fn new() -> Self {
-        AffineMultiLang {
-            conversions: AffineConversions::standard(),
-            fuel: Fuel::default(),
-        }
-    }
-
-    /// Overrides the fuel budget used by the run methods.
-    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &AffineConversions {
-        &self.conversions
-    }
-
-    /// Type checks a closed multi-language program (either host language).
-    pub fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
-        match program {
-            AffProgram::Affi(e) => self.typecheck_affi(e).map(AffSourceType::Affi),
-            AffProgram::Ml(e) => self.typecheck_ml(e).map(AffSourceType::Ml),
-        }
-    }
-
-    /// Type checks a closed MiniML program.
-    pub fn typecheck_ml(&self, e: &MlExpr) -> Result<MlType, AffineTypeError> {
-        check_ml(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
-    }
-
-    /// Type checks a closed Affi program.
-    pub fn typecheck_affi(&self, e: &AffiExpr) -> Result<AffiType, AffineTypeError> {
-        check_affi(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
-    }
-
-    /// Type checks and compiles a closed multi-language program.
-    pub fn compile(&self, program: &AffProgram) -> Result<CompileOutput, AffineMultiLangError> {
-        self.typecheck(program).map_err(PipelineError::Type)?;
-        self.compile_only(program).map_err(PipelineError::Compile)
-    }
-
-    /// Compiles a program already known to type check, skipping the
-    /// typecheck stage (the sweep engine re-checks the generator's type
-    /// claim once up front).
-    pub fn compile_only(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
-        let compiler = Compiler::new(&self.conversions, &self.conversions);
-        match program {
-            AffProgram::Affi(e) => compiler.compile_affi_program(e),
-            AffProgram::Ml(e) => compiler.compile_ml_program(e),
-        }
-    }
-
-    /// Type checks and compiles a closed MiniML program.
-    pub fn compile_ml(&self, e: &MlExpr) -> Result<CompileOutput, AffineMultiLangError> {
-        self.compile(&AffProgram::Ml(e.clone()))
-    }
-
-    /// Type checks and compiles a closed Affi program.
-    pub fn compile_affi(&self, e: &AffiExpr) -> Result<CompileOutput, AffineMultiLangError> {
-        self.compile(&AffProgram::Affi(e.clone()))
-    }
-
-    /// Runs a compiled program under the *standard* semantics, keeping the
-    /// artifact (one clone — the price of re-runnability).
-    pub fn run(&self, compiled: &CompileOutput) -> RunResult {
-        Machine::run_expr(compiled.expr.clone(), self.fuel)
-    }
-
-    /// Runs a compiled program under the *augmented* (phantom-flag) semantics,
-    /// protecting exactly the static binders the compiler reported.
-    pub fn run_phantom(&self, compiled: &CompileOutput) -> RunResult {
-        let cfg = MachineConfig {
-            phantom: Some(PhantomConfig::protecting(
-                compiled.static_binders.iter().cloned(),
-            )),
-            pinned: BTreeSet::new(),
-        };
-        Machine::with_config(compiled.expr.clone(), cfg).run(self.fuel)
-    }
-
-    /// Runs a closed multi-language program under the given fuel budget.
-    pub fn run_with_fuel(
-        &self,
-        program: &AffProgram,
-        fuel: Fuel,
-    ) -> Result<RunResult, AffineMultiLangError> {
-        let compiled = self.compile(program)?;
-        Ok(Machine::run_expr(compiled.expr, fuel))
-    }
-
-    /// Convenience: type check, compile and run a MiniML program.
-    pub fn run_ml(&self, e: &MlExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.run_with_fuel(&AffProgram::Ml(e.clone()), self.fuel)
-    }
-
-    /// Convenience: type check, compile and run an Affi program.
-    pub fn run_affi(&self, e: &AffiExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.run_with_fuel(&AffProgram::Affi(e.clone()), self.fuel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcvm::{Halt, Value};
-    use semint_core::ErrorCode;
+    use crate::compile::CompileOutput;
+    use crate::typecheck::AffineTypeError;
+    use crate::AffineCase;
+    use lcvm::{Halt, RunResult, Value};
+    use semint_core::{CaseStudy, ErrorCode, Fuel};
+
+    fn run_ml(e: &MlExpr) -> Result<RunResult, String> {
+        AffineCase::standard().run(&AffProgram::Ml(e.clone()), Fuel::default())
+    }
+
+    fn run_affi(e: &AffiExpr) -> Result<RunResult, String> {
+        AffineCase::standard().run(&AffProgram::Affi(e.clone()), Fuel::default())
+    }
+
+    /// Type checks and compiles a closed Affi program.
+    fn compile_affi(e: &AffiExpr) -> Result<CompileOutput, String> {
+        let case = AffineCase::standard();
+        let program = AffProgram::Affi(e.clone());
+        case.typecheck(&program)?;
+        case.compile(&program)
+    }
 
     fn ml_thunked_int_fun() -> MlType {
         MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int)
@@ -187,26 +82,19 @@ mod tests {
             AffiExpr::int(41),
         );
         let e = MlExpr::add(MlExpr::int(1), MlExpr::boundary(affi, MlType::Int));
-        let sys = AffineMultiLang::new();
-        let r = sys.run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(42)));
 
-        // A one-step budget cuts the same run short; an explicit budget
-        // overrides the facade's own.
-        let starved = AffineMultiLang::new().with_fuel(Fuel::steps(1));
-        assert_eq!(starved.run_ml(&e).unwrap().halt, Halt::OutOfFuel);
-        let r = starved
-            .run_with_fuel(&AffProgram::Ml(e), Fuel::default())
-            .unwrap();
-        assert_eq!(r.halt, Halt::Value(Value::Int(42)));
+        // A one-step budget cuts the same run short.
+        let starved = AffineCase::standard().run(&AffProgram::Ml(e), Fuel::steps(1));
+        assert_eq!(starved.unwrap().halt, Halt::OutOfFuel);
     }
 
     #[test]
     fn miniml_ints_cross_into_affi_as_booleans() {
         // Affi: if-style use of a MiniML int via bool ∼ int.
         let e = AffiExpr::boundary(MlExpr::int(7), AffiType::Bool);
-        let sys = AffineMultiLang::new();
-        let r = sys.run_affi(&e).unwrap();
+        let r = run_affi(&e).unwrap();
         // 7 collapses to the canonical false (1).
         assert_eq!(r.halt, Halt::Value(Value::Int(1)));
     }
@@ -219,8 +107,7 @@ mod tests {
             MlExpr::boundary(affi_fun, ml_thunked_int_fun()),
             MlExpr::lam("_", MlType::Unit, MlExpr::int(9)),
         );
-        let sys = AffineMultiLang::new();
-        assert_eq!(sys.run_ml(&e).unwrap().halt, Halt::Value(Value::Int(9)));
+        assert_eq!(run_ml(&e).unwrap().halt, Halt::Value(Value::Int(9)));
     }
 
     #[test]
@@ -240,8 +127,7 @@ mod tests {
             AffiExpr::boundary(rude_ml, AffiType::lolli(AffiType::Int, AffiType::Int)),
             AffiExpr::int(21),
         );
-        let sys = AffineMultiLang::new();
-        let r = sys.run_affi(&e).unwrap();
+        let r = run_affi(&e).unwrap();
         assert_eq!(r.halt, Halt::Fail(ErrorCode::Conv));
 
         // The polite variant succeeds.
@@ -257,20 +143,19 @@ mod tests {
             AffiExpr::boundary(polite_ml, AffiType::lolli(AffiType::Int, AffiType::Int)),
             AffiExpr::int(21),
         );
-        assert_eq!(sys.run_affi(&e).unwrap().halt, Halt::Value(Value::Int(22)));
+        assert_eq!(run_affi(&e).unwrap().halt, Halt::Value(Value::Int(22)));
     }
 
     #[test]
     fn static_arrows_cannot_cross_the_boundary() {
         let affi_fun = AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("a"));
-        let e = MlExpr::boundary(affi_fun, ml_thunked_int_fun());
-        let sys = AffineMultiLang::new();
+        let program = AffProgram::Ml(MlExpr::boundary(affi_fun, ml_thunked_int_fun()));
+        let case = AffineCase::standard();
         assert!(matches!(
-            sys.run_ml(&e),
-            Err(AffineMultiLangError::Type(
-                AffineTypeError::NotConvertible { .. }
-            ))
+            case.type_of(&program),
+            Err(AffineTypeError::NotConvertible { .. })
         ));
+        assert!(case.run(&program, Fuel::default()).is_err());
     }
 
     #[test]
@@ -290,13 +175,12 @@ mod tests {
                 AffiType::Int,
             ),
         );
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         // This program moves static variables through a MiniML boundary, so
         // the type checker must reject it (no•(Ωe)).
-        assert!(matches!(
-            sys.run_affi(&e),
-            Err(AffineMultiLangError::Type(_))
-        ));
+        let program = AffProgram::Affi(e);
+        assert!(case.type_of(&program).is_err());
+        assert!(case.run(&program, Fuel::default()).is_err());
 
         // A fully Affi-internal use of static resources is fine and the two
         // semantics agree.
@@ -309,10 +193,10 @@ mod tests {
                 AffiExpr::avar_static("x"),
             ),
         );
-        let compiled = sys.compile_affi(&ok).unwrap();
+        let compiled = compile_affi(&ok).unwrap();
         assert_eq!(compiled.static_binders.len(), 3);
-        let standard = sys.run(&compiled);
-        let phantom = sys.run_phantom(&compiled);
+        let standard = run_affi(&ok).unwrap();
+        let phantom = case.run_phantom(&compiled, Fuel::default());
         assert_eq!(standard.halt, Halt::Value(Value::Int(20)));
         assert_eq!(phantom.halt, Halt::Value(Value::Int(20)));
         assert!(phantom.flags_consumed >= 1);
@@ -320,7 +204,7 @@ mod tests {
 
     #[test]
     fn well_typed_programs_are_safe_under_both_semantics() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         let programs: Vec<AffiExpr> = vec![
             AffiExpr::app(
                 AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")),
@@ -336,13 +220,13 @@ mod tests {
             AffiExpr::let_bang("u", AffiExpr::bang(AffiExpr::int(8)), AffiExpr::uvar("u")),
         ];
         for e in programs {
-            let compiled = sys.compile_affi(&e).expect("well-typed program compiles");
+            let compiled = compile_affi(&e).expect("well-typed program compiles");
             assert!(
-                sys.run(&compiled).halt.is_safe(),
+                run_affi(&e).unwrap().halt.is_safe(),
                 "standard run unsafe for {e}"
             );
             assert!(
-                sys.run_phantom(&compiled).halt.is_safe(),
+                case.run_phantom(&compiled, Fuel::default()).halt.is_safe(),
                 "phantom run unsafe for {e}"
             );
         }

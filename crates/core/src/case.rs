@@ -11,7 +11,9 @@
 //!
 //! Implementations live with their case studies (`sharedmem::harness`,
 //! `affine_interop::harness`, `memgc_interop::harness`); only the vocabulary
-//! lives here so the case-study crates need not depend on the engine.
+//! lives here so the case-study crates need not depend on the engine.  Each
+//! implementation is the whole case study: it owns the pair's rule set and
+//! calls the pair's typecheckers, compilers and target machine itself.
 
 use crate::convert::GlueCacheStats;
 use crate::fuel::Fuel;

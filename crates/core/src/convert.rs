@@ -11,11 +11,12 @@
 //! representation of glue code (a `stacklang` program for case study 1, an
 //! `lcvm` expression-to-expression wrapper for case studies 2 and 3).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A pair of target-level conversions witnessing `τA ∼ τB`.
 ///
@@ -99,8 +100,13 @@ impl GlueCacheStats {
 ///   clone of the glue, not a deep copy ([`GlueCache::is_derivable`] answers
 ///   the type checker's yes/no queries without touching the glue at all);
 /// * derivations run *outside* the lock — recursive sub-derivations re-enter
-///   the cache without deadlocking, at the price of occasional duplicated
-///   work under contention (harmless: derivation is deterministic).
+///   the cache without deadlocking (they always ask for strictly smaller
+///   type pairs);
+/// * each pair is derived **once**, whatever the thread count: the first
+///   lookup inserts an empty slot and counts the one miss, and a concurrent
+///   lookup of the same pair waits on that slot and counts a hit.  So a
+///   sweep's hit/miss figures are the same for every `--jobs`, and the
+///   misses always equal the table's entries.
 #[derive(Debug)]
 pub struct GlueCache<TA, TB, G> {
     entries: Arc<RwLock<GlueTable<TA, TB, G>>>,
@@ -109,9 +115,13 @@ pub struct GlueCache<TA, TB, G> {
 }
 
 /// The memoization table of a [`GlueCache`]: a nested map so lookups borrow
-/// the query types instead of cloning them into a tuple key.  `None` entries
-/// record refutations.
-type GlueTable<TA, TB, G> = HashMap<TA, HashMap<TB, Option<Arc<ConversionPair<G>>>>>;
+/// the query types instead of cloning them into a tuple key.
+type GlueTable<TA, TB, G> = HashMap<TA, HashMap<TB, GlueSlot<G>>>;
+
+/// One memoized type pair, filled once with its derivation's answer (`None`
+/// records a refutation).  A lookup that finds the slot still empty waits
+/// for the derivation in flight instead of repeating it.
+type GlueSlot<G> = Arc<OnceLock<Option<Arc<ConversionPair<G>>>>>;
 
 impl<TA, TB, G> Clone for GlueCache<TA, TB, G> {
     /// Clones share the table and counters; see the type-level docs.
@@ -159,28 +169,38 @@ where
             .expect("glue cache poisoned")
             .get(a)
             .and_then(|by_b| by_b.get(b))
+            .and_then(|slot| slot.get())
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return found.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // The lock is released while deriving: structural derivations recurse
-        // back into this cache for their sub-pairs.
-        let derived = derive().map(Arc::new);
-        self.entries
+        let slot = match self
+            .entries
             .write()
             .expect("glue cache poisoned")
             .entry(a.clone())
             .or_default()
             .entry(b.clone())
-            .or_insert(derived)
-            .clone()
+        {
+            // Another lookup is deriving this pair: wait for its answer.
+            Entry::Occupied(in_flight) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(in_flight.get())
+            }
+            Entry::Vacant(vacant) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(vacant.insert(GlueSlot::default()))
+            }
+        };
+        // No lock is held while deriving: structural derivations recurse
+        // back into this cache for their sub-pairs.
+        slot.get_or_init(|| derive().map(Arc::new)).clone()
     }
 
     /// Whether `a ∼ b` is derivable, **if** the answer is already memoized
-    /// (`None` means "not cached yet").  This is the type checker's fast
-    /// path: a convertibility oracle query on a warm cache costs one map
-    /// probe and never touches the glue.
+    /// (`None` means "not cached yet" or "still being derived").  This is
+    /// the type checker's fast path: a convertibility oracle query on a warm
+    /// cache costs one map probe and never touches the glue.
     pub fn is_derivable(&self, a: &TA, b: &TB) -> Option<bool> {
         let cached = self
             .entries
@@ -188,6 +208,7 @@ where
             .expect("glue cache poisoned")
             .get(a)
             .and_then(|by_b| by_b.get(b))
+            .and_then(|slot| slot.get())
             .map(|entry| entry.is_some());
         if cached.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -46,7 +46,6 @@ pub mod case;
 pub mod convert;
 pub mod fuel;
 pub mod outcome;
-pub mod pipeline;
 pub mod stats;
 pub mod symbol;
 pub mod telemetry;
@@ -58,7 +57,6 @@ pub use case::{
 pub use convert::{ConversionPair, ConversionScheme, GlueCache, GlueCacheStats};
 pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
-pub use pipeline::PipelineError;
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
 pub use symbol::Var;
 pub use telemetry::{OpClass, VmCounters};

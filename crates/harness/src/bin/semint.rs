@@ -36,6 +36,7 @@ use semint_harness::serve::{
 };
 use semint_harness::source::{ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
+use semint_harness::{out, outln};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -171,7 +172,7 @@ fn main() -> ExitCode {
         "status" => cmd_status(rest),
         "chaos" => cmd_chaos(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(unknown_command(other)),
@@ -648,40 +649,44 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         // Generation is deterministic: this untimed copy is only printed;
         // the timed run below generates its own.
         let scenario = case.generate(seed, &opts.profile);
-        println!("case {}", case.name());
-        println!("  seed    {seed}");
-        println!("  profile {}", opts.profile);
-        println!("  type    {}", scenario.ty);
-        println!("  program {}", scenario.program);
+        outln!("case {}", case.name());
+        outln!("  seed    {seed}");
+        outln!("  profile {}", opts.profile);
+        outln!("  type    {}", scenario.ty);
+        outln!("  program {}", scenario.program);
         let record = run_scenario(case, seed, &cfg);
         if let Some(stats) = &record.stats {
-            println!("  outcome {} after {} steps", stats.outcome, stats.steps);
+            outln!("  outcome {} after {} steps", stats.outcome, stats.steps);
             let c = &stats.counters;
-            println!(
+            outln!(
                 "  heap    allocs {} · frees {} · reuses {} · peak live {}",
-                c.heap_allocs, c.heap_frees, c.heap_reuses, c.heap_peak_live
+                c.heap_allocs,
+                c.heap_frees,
+                c.heap_reuses,
+                c.heap_peak_live
             );
         }
-        println!("  boundaries {}", record.boundaries);
+        outln!("  boundaries {}", record.boundaries);
         if let Some(timings) = &record.timings {
-            println!("  stage wall-clock");
+            outln!("  stage wall-clock");
             for (label, ns) in timings.stages() {
-                println!("    {label:<11} {:.3} ms", ns as f64 / 1_000_000.0);
+                outln!("    {label:<11} {:.3} ms", ns as f64 / 1_000_000.0);
             }
-            println!(
+            outln!(
                 "    {:<11} {:.3} ms",
                 "total",
                 timings.total_ns() as f64 / 1_000_000.0
             );
         }
         match &record.failure {
-            None => println!("  verdict OK"),
+            None => outln!("  verdict OK"),
             Some(failure) => {
                 clean = false;
-                println!("  verdict FAILED [{}] {}", failure.stage, failure.reason);
-                println!(
+                outln!("  verdict FAILED [{}] {}", failure.stage, failure.reason);
+                outln!(
                     "  shrunk counterexample ({} steps): {}",
-                    failure.shrink_steps, failure.shrunk
+                    failure.shrink_steps,
+                    failure.shrunk
                 );
             }
         }
@@ -699,17 +704,17 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let mut clean = true;
     for case in &cases {
         match case.check_conversions() {
-            Ok(()) => println!("case {}: conversion catalogue OK", case.name()),
+            Ok(()) => outln!("case {}: conversion catalogue OK", case.name()),
             Err(failure) => {
                 clean = false;
-                println!("case {}: conversion catalogue FAILED", case.name());
-                println!("  {failure}");
+                outln!("case {}: conversion catalogue FAILED", case.name());
+                outln!("  {failure}");
             }
         }
     }
     check_sweep_size(&cases, source.as_ref())?;
     let report = sweep_all(&cases, source.as_ref(), &cfg);
-    print!("{}", render_sweep(&report));
+    out!("{}", render_sweep(&report));
     Ok(clean && report.failure_count() == 0)
 }
 
@@ -728,20 +733,20 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         cfg.time = true;
     }
     check_sweep_size(&cases, source.as_ref())?;
-    println!("sweep: {} · profile {}", source.describe(), cfg.profile);
+    outln!("sweep: {} · profile {}", source.describe(), cfg.profile);
     let observer = build_observer(&opts, &cases, source.as_ref())?;
     let report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
     finish_observer(observer)?;
     if let Some(path) = &opts.trace {
-        println!("trace saved: {path}");
+        outln!("trace saved: {path}");
     }
-    print!("{}", render_sweep(&report));
+    out!("{}", render_sweep(&report));
     for case in &report.cases {
-        println!("digest: {}", case.digest());
+        outln!("digest: {}", case.digest());
     }
     if let Some(path) = &opts.save {
         std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
+        outln!("saved: {path}");
         if let Some(mode) = &opts.corrupt_save {
             corrupt_saved_report(path, mode)?;
         }
@@ -787,7 +792,7 @@ fn cmd_profile(args: &[String]) -> Result<bool, String> {
     if profile.scenarios == 0 && profile.heartbeats == 0 {
         return Err("the given trace files contain no events".into());
     }
-    print!("{}", render_profile(&profile));
+    out!("{}", render_profile(&profile));
     Ok(true)
 }
 
@@ -806,9 +811,9 @@ fn cmd_report(args: &[String]) -> Result<bool, String> {
         let saved = SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?;
         report.merge(&saved);
     }
-    print!("{}", render_sweep(&report));
+    out!("{}", render_sweep(&report));
     for case in &report.cases {
-        println!("digest: {}", case.digest());
+        outln!("digest: {}", case.digest());
     }
     Ok(report.failure_count() == 0)
 }
@@ -834,22 +839,25 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     };
     let daemon = Daemon::spawn(cfg)?;
     let port = daemon.port();
-    println!(
+    outln!(
         "semint serve: listening on 127.0.0.1:{port} · {} workers · queue capacity {} · \
          worker timeout {} ms · {} retries per shard",
-        opts.workers, opts.queue_capacity, worker_timeout_ms, opts.max_retries
+        opts.workers,
+        opts.queue_capacity,
+        worker_timeout_ms,
+        opts.max_retries
     );
     if let Some(dir) = &opts.state_dir {
-        println!(
+        outln!(
             "durable state: {dir} (fsync'd job journal + shard checkpoints; \
              recover with `semint serve --state-dir {dir} --resume`)"
         );
     }
-    println!("submit jobs:   semint submit --port {port} --seeds A..B [--profile NAME]");
-    println!("watch them:    semint status --port {port} [--job N --wait]");
-    println!("drain + exit:  semint submit --port {port} --shutdown");
+    outln!("submit jobs:   semint submit --port {port} --seeds A..B [--profile NAME]");
+    outln!("watch them:    semint status --port {port} [--job N --wait]");
+    outln!("drain + exit:  semint submit --port {port} --shutdown");
     daemon.join();
-    println!("semint serve: drained, exiting");
+    outln!("semint serve: drained, exiting");
     Ok(true)
 }
 
@@ -866,7 +874,7 @@ fn cmd_submit(args: &[String]) -> Result<bool, String> {
     if opts.shutdown {
         return match serve::call(&addr, &Request::Shutdown)? {
             Response::Ok => {
-                println!("daemon at {addr} is draining: accepted jobs finish, then it exits");
+                outln!("daemon at {addr} is draining: accepted jobs finish, then it exits");
                 Ok(true)
             }
             Response::Error(e) => Err(e),
@@ -899,7 +907,7 @@ fn cmd_submit(args: &[String]) -> Result<bool, String> {
     };
     match serve::call(&addr, &Request::Submit(spec))? {
         Response::Submitted { job } => {
-            println!("job {job} queued at {addr} (follow it: semint status --port {} --job {job} --wait)", opts.port);
+            outln!("job {job} queued at {addr} (follow it: semint status --port {} --job {job} --wait)", opts.port);
             Ok(true)
         }
         Response::Error(e) => Err(e),
@@ -925,9 +933,9 @@ fn print_job_status(status: &JobStatus, detailed: bool) -> Result<(), String> {
     if status.recovered {
         line.push_str(" · recovered");
     }
-    println!("{line}");
+    outln!("{line}");
     if let Some(error) = &status.error {
-        println!("  error: {error}");
+        outln!("  error: {error}");
     }
     if !detailed {
         return Ok(());
@@ -935,12 +943,12 @@ fn print_job_status(status: &JobStatus, detailed: bool) -> Result<(), String> {
     let report = SweepReport::from_tsv(&status.report_tsv)
         .map_err(|e| format!("job {}: daemon sent an unreadable report: {e}", status.id))?;
     if status.state == "done" {
-        print!("{}", render_sweep(&report));
+        out!("{}", render_sweep(&report));
         for digest in &status.digests {
-            println!("digest: {digest}");
+            outln!("digest: {digest}");
         }
     } else {
-        print!(
+        out!(
             "{}",
             render_rolling(&report, status.shards_done, status.shards_total)
         );
@@ -970,10 +978,10 @@ fn cmd_status(args: &[String]) -> Result<bool, String> {
             continue;
         }
         if draining {
-            println!("daemon at {addr} is draining");
+            outln!("daemon at {addr} is draining");
         }
         if jobs.is_empty() {
-            println!("no jobs at {addr}");
+            outln!("no jobs at {addr}");
         }
         for job in &jobs {
             print_job_status(job, opts.job.is_some())?;
@@ -984,7 +992,7 @@ fn cmd_status(args: &[String]) -> Result<bool, String> {
                 .and_then(|_| jobs.first())
                 .ok_or("--save writes one job's merged report; give --job N")?;
             std::fs::write(path, &job.report_tsv).map_err(|e| format!("saving {path}: {e}"))?;
-            println!("saved: {path}");
+            outln!("saved: {path}");
         }
         let clean = jobs
             .iter()
@@ -1027,7 +1035,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         state_root,
         echo: true,
     };
-    println!(
+    outln!(
         "chaos: {} rounds · seed {} · seeds {}..{} · profile {} · {} shards · state root {}",
         cfg.rounds,
         cfg.seed,
@@ -1042,7 +1050,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
     for outcome in &outcomes {
         let held = outcome.invariant_holds();
         clean = clean && held;
-        println!(
+        outln!(
             "round {}: {} · fault {} on shard {} after {} scenarios · killed after {} \
              checkpoints (shards {:?} saved) · {} re-issues · digests {} · counters {} · \
              re-run after resume {:?} · state {}",
@@ -1069,12 +1077,12 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         );
     }
     if clean {
-        println!(
+        outln!(
             "chaos: all {} rounds held the crash-safety invariant",
             outcomes.len()
         );
     } else {
-        println!("chaos: INVARIANT VIOLATED — post-mortems in the per-round state dirs above");
+        outln!("chaos: INVARIANT VIOLATED — post-mortems in the per-round state dirs above");
     }
     Ok(clean)
 }

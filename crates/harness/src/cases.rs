@@ -5,6 +5,9 @@
 //! `Report` types are erased into enums here.  Each method dispatches on the
 //! (case, program) pair; handing a program to the wrong case study is a
 //! driver bug and reported as such rather than silently ignored.
+//!
+//! Each arm lands in the case study's own `CaseStudy` impl, which calls its
+//! pair's typechecker, compiler and machine directly.
 
 use affine_interop::harness::{AffProgram, AffSourceType, AffineCase};
 use memgc_interop::harness::{MemGcCase, MgProgram, MgSourceType};

@@ -73,6 +73,7 @@ pub mod report;
 pub mod serve;
 pub mod shrink;
 pub mod source;
+pub mod stdout;
 pub mod trace;
 
 pub use cases::{AnyCase, AnyCompiled};

@@ -379,7 +379,7 @@ fn run_round(
     std::fs::create_dir_all(&state_dir)
         .map_err(|e| format!("cannot create {}: {e}", state_dir.display()))?;
     if cfg.echo {
-        println!(
+        crate::outln!(
             "chaos round {round}: fault {} on shard {} after {} scenarios, \
              kill after {kill_after_saves} checkpoints",
             plan.kind.label(),
@@ -412,7 +412,7 @@ fn run_round(
     // supposed to survive.
     drop(daemon);
     if cfg.echo {
-        println!(
+        crate::outln!(
             "chaos round {round}: daemon killed with shards {saved_before_kill:?} checkpointed; \
              resuming"
         );
@@ -458,7 +458,7 @@ pub fn run_drills(cfg: &ChaosConfig) -> Result<Vec<DrillOutcome>, String> {
     }
     let baseline = baseline_report(cfg)?;
     if cfg.echo {
-        println!(
+        crate::outln!(
             "chaos baseline: {} scenarios over seeds {}..{}",
             baseline.scenarios(),
             cfg.seeds.0,

@@ -413,7 +413,7 @@ impl ServeLog {
             for (key, value) in detail {
                 let _ = write!(human, " {key}={value}");
             }
-            println!("[serve] {human}");
+            crate::outln!("[serve] {human}");
         }
     }
 }

@@ -363,45 +363,51 @@ impl MemGcProgramGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::MemGcMultiLang;
+    use crate::multilang::{MgProgram, MgSourceType};
+    use crate::MemGcCase;
+    use semint_core::Fuel;
 
     #[test]
     fn generated_ml_programs_typecheck_at_the_requested_type() {
-        let ml = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
         for seed in 0..60 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_ml_type(2);
             let e = gen.gen_ml(&ty);
-            let checked = ml.typecheck_ml(&e).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
-            assert_eq!(checked, ty, "seed {seed}");
+            let checked = case
+                .type_of(&MgProgram::Ml(e.clone()))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
+            assert_eq!(checked, MgSourceType::Ml(ty), "seed {seed}");
         }
     }
 
     #[test]
     fn generated_l3_programs_typecheck_at_the_requested_type() {
-        let ml = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
         for seed in 0..60 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_l3_type(2);
             let e = gen.gen_l3(&ty);
-            let checked = ml.typecheck_l3(&e).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
-            assert_eq!(checked, ty, "seed {seed}");
+            let checked = case
+                .type_of(&MgProgram::L3(e.clone()))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
+            assert_eq!(checked, MgSourceType::L3(ty), "seed {seed}");
         }
     }
 
     #[test]
     fn generated_programs_run_safely() {
-        let ml = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
         for seed in 0..40 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_ml_type(2);
             let e = gen.gen_ml(&ty);
-            let r = ml
-                .run_ml(&e)
+            let r = case
+                .run(&MgProgram::Ml(e.clone()), Fuel::default())
                 .unwrap_or_else(|err| panic!("seed {seed}: {err}"));
             assert!(
                 r.halt.is_safe(),
@@ -447,7 +453,7 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let sys = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen = MemGcProgramGen::with_config(
@@ -458,10 +464,10 @@ mod tests {
             let ty = gen.gen_goal_ml_type();
             max_depth_seen = max_depth_seen.max(ml_type_depth(&ty));
             let e = gen.gen_ml(&ty);
-            let checked = sys
-                .typecheck_ml(&e)
+            let checked = case
+                .type_of(&MgProgram::Ml(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(checked, ty, "seed {seed}");
+            assert_eq!(checked, MgSourceType::Ml(ty), "seed {seed}");
         }
         assert!(
             max_depth_seen >= 4,

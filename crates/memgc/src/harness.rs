@@ -1,10 +1,12 @@
 //! The [`CaseStudy`] instance for case study 3 (memory management &
 //! polymorphism), consumed by the `semint-harness` engine.
 
+use crate::compile::MemGcCompiler;
+use crate::convert::MemGcConversions;
 use crate::gen::MemGcProgramGen;
 use crate::model::MemGcModelChecker;
-use crate::multilang::MemGcMultiLang;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use crate::typecheck::{check_l3, check_poly, MemGcCtx, MemGcTypeError};
 use lcvm::{Expr, Machine, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
@@ -12,7 +14,9 @@ use semint_core::{Fuel, GlueCacheStats};
 
 pub use crate::multilang::{MgProgram, MgSourceType};
 
-/// Case study 3 packaged for the harness engine.
+/// Case study 3 as one object: the §5 rule set with its glue, the
+/// MiniML/L3 typecheckers and compilers, LCVM with GC and manual memory, and
+/// the Fig. 14 model, packaged for the harness engine.
 ///
 /// The `broken` flag simulates broken conversion glue: the compiled program
 /// is wrapped in a projection (`fst`), standing in for glue code that treats
@@ -20,7 +24,7 @@ pub use crate::multilang::{MgProgram, MgSourceType};
 /// then fail `Type` under the model's safety check.
 #[derive(Debug, Clone)]
 pub struct MemGcCase {
-    system: MemGcMultiLang,
+    conversions: MemGcConversions,
     broken: bool,
 }
 
@@ -28,7 +32,7 @@ impl MemGcCase {
     /// The standard (sound) rule set.
     pub fn standard() -> Self {
         MemGcCase {
-            system: MemGcMultiLang::new(),
+            conversions: MemGcConversions::standard(),
             broken: false,
         }
     }
@@ -36,9 +40,34 @@ impl MemGcCase {
     /// The deliberately broken glue (see the type-level docs).
     pub fn broken() -> Self {
         MemGcCase {
-            system: MemGcMultiLang::new(),
+            conversions: MemGcConversions::standard(),
             broken: true,
         }
+    }
+
+    /// The conversion rule set in use.
+    pub fn conversions(&self) -> &MemGcConversions {
+        &self.conversions
+    }
+
+    /// Type checks a closed program (either host language), keeping the
+    /// typed error that [`CaseStudy::typecheck`] renders.
+    pub fn type_of(&self, program: &MgProgram) -> Result<MgSourceType, MemGcTypeError> {
+        let ctx = MemGcCtx::empty();
+        match program {
+            MgProgram::Ml(e) => {
+                check_poly(&ctx, e, &self.conversions).map(|(t, _)| MgSourceType::Ml(t))
+            }
+            MgProgram::L3(e) => {
+                check_l3(&ctx, e, &self.conversions).map(|(t, _)| MgSourceType::L3(t))
+            }
+        }
+    }
+
+    /// Type checks, compiles and runs a closed program under `fuel`.
+    pub fn run(&self, program: &MgProgram, fuel: Fuel) -> Result<RunResult, String> {
+        self.typecheck(program)?;
+        Ok(Machine::run_expr(self.compile(program)?, fuel))
     }
 }
 
@@ -132,8 +161,7 @@ impl CaseStudy for MemGcCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<MgProgram, MgSourceType> {
-        let mut gen =
-            MemGcProgramGen::with_config(seed, *profile, self.system.conversions().clone());
+        let mut gen = MemGcProgramGen::with_config(seed, *profile, self.conversions.clone());
         // Every fourth scenario is L3-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_l3_type(profile.type_depth);
@@ -155,11 +183,16 @@ impl CaseStudy for MemGcCase {
     }
 
     fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, String> {
-        self.system.typecheck(program).map_err(|e| e.to_string())
+        self.type_of(program).map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &MgProgram) -> Result<Expr, String> {
-        self.system.compile_only(program).map_err(|e| e.to_string())
+        let compiler = MemGcCompiler::new(&self.conversions, &self.conversions);
+        match program {
+            MgProgram::Ml(e) => compiler.compile_ml_program(e),
+            MgProgram::L3(e) => compiler.compile_l3_program(e),
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// Drives the whole batch through **one** LCVM machine, reset in place
@@ -210,7 +243,7 @@ impl CaseStudy for MemGcCase {
                     ce.claim
                 },
                 witness: program.to_string(),
-                reason: ce.reason,
+                ..ce
             })
     }
 
@@ -243,19 +276,13 @@ impl CaseStudy for MemGcCase {
             ),
         ];
         for (ml_payload, l3_payload, initial) in catalogue {
-            checker
-                .check_transfer_soundness(&ml_payload, &l3_payload, initial)
-                .map_err(|ce| CheckFailure {
-                    claim: ce.claim,
-                    witness: format!("{ml_payload} ∼ {l3_payload}"),
-                    reason: ce.reason,
-                })?;
+            checker.check_transfer_soundness(&ml_payload, &l3_payload, initial)?;
         }
         Ok(())
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.system.conversions().cache().stats())
+        Some(self.conversions.cache().stats())
     }
 }
 

@@ -20,8 +20,10 @@
 //!   conversions).
 //!
 //! Crate layout mirrors the other case studies: [`syntax`], [`typecheck`],
-//! [`compile`] (Fig. 13), [`convert`], [`multilang`], [`model`] (Fig. 14,
-//! executable approximation).
+//! [`compile`] (Fig. 13), [`convert`], [`multilang`] (the closed programs),
+//! [`model`] (Fig. 14, executable approximation), and [`harness`], whose
+//! [`MemGcCase`] owns the rule set and typechecks, compiles and runs
+//! programs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +38,4 @@ pub mod syntax;
 pub mod typecheck;
 
 pub use harness::{MemGcCase, MgProgram};
-pub use multilang::{MemGcMultiLang, MemGcMultiLangError};
 pub use syntax::{L3Expr, L3Type, PolyExpr, PolyType};

@@ -24,7 +24,7 @@ use crate::convert::MemGcConversions;
 use crate::syntax::{L3Type, LocVar, PolyType};
 use lcvm::Env;
 use lcvm::{Expr, Halt, Heap, Loc, Machine, MachineConfig, Slot, Value};
-use semint_core::{ErrorCode, Fuel};
+use semint_core::{CheckFailure, ErrorCode, Fuel};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -43,21 +43,6 @@ impl fmt::Display for MemGcSemType {
             MemGcSemType::Ml(t) => write!(f, "{t}"),
             MemGcSemType::L3(t) => write!(f, "{t}"),
         }
-    }
-}
-
-/// A counterexample to one of the §5 properties.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemGcCounterExample {
-    /// What was being checked.
-    pub claim: String,
-    /// Why it failed.
-    pub reason: String,
-}
-
-impl fmt::Display for MemGcCounterExample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.claim, self.reason)
     }
 }
 
@@ -191,16 +176,18 @@ impl MemGcModelChecker {
         ml_payload: &PolyType,
         l3_payload: &L3Type,
         initial: Value,
-    ) -> Result<(), MemGcCounterExample> {
+    ) -> Result<(), CheckFailure> {
+        let refuted = |claim: String, reason: String| CheckFailure {
+            claim,
+            witness: format!("{ml_payload} ∼ {l3_payload}"),
+            reason,
+        };
         let ml_ref = PolyType::ref_(ml_payload.clone());
         let l3_ref = L3Type::ref_like(l3_payload.clone());
-        let (to_l3, to_ml) =
-            self.conversions
-                .derive(&ml_ref, &l3_ref)
-                .ok_or_else(|| MemGcCounterExample {
-                    claim: format!("{ml_ref} ∼ {l3_ref}"),
-                    reason: "rule not derivable".into(),
-                })?;
+        let (to_l3, to_ml) = self
+            .conversions
+            .derive(&ml_ref, &l3_ref)
+            .ok_or_else(|| refuted(format!("{ml_ref} ∼ {l3_ref}"), "rule not derivable".into()))?;
 
         // Direction 1: L3 → MiniML must transfer ownership without copying.
         let mut heap = Heap::new();
@@ -212,18 +199,18 @@ impl MemGcModelChecker {
         match &r.halt {
             Halt::Value(v) => {
                 if v.as_loc() != Some(loc) {
-                    return Err(MemGcCounterExample {
-                        claim: "L3→MiniML transfer".into(),
-                        reason: format!("expected the same location {loc}, got {v}"),
-                    });
+                    return Err(refuted(
+                        "L3→MiniML transfer".into(),
+                        format!("expected the same location {loc}, got {v}"),
+                    ));
                 }
                 if r.heap.stats().manual_allocs > before.manual_allocs
                     || r.heap.stats().gc_allocs > before.gc_allocs
                 {
-                    return Err(MemGcCounterExample {
-                        claim: "L3→MiniML transfer".into(),
-                        reason: "the conversion allocated — it must move, not copy".into(),
-                    });
+                    return Err(refuted(
+                        "L3→MiniML transfer".into(),
+                        "the conversion allocated — it must move, not copy".into(),
+                    ));
                 }
                 if !self.value_in(
                     &r.heap,
@@ -231,17 +218,17 @@ impl MemGcModelChecker {
                     v,
                     &MemGcSemType::Ml(ml_ref.clone()),
                 ) {
-                    return Err(MemGcCounterExample {
-                        claim: "L3→MiniML transfer".into(),
-                        reason: format!("result is not in V⟦{ml_ref}⟧"),
-                    });
+                    return Err(refuted(
+                        "L3→MiniML transfer".into(),
+                        format!("result is not in V⟦{ml_ref}⟧"),
+                    ));
                 }
             }
             other => {
-                return Err(MemGcCounterExample {
-                    claim: "L3→MiniML transfer".into(),
-                    reason: format!("conversion did not produce a value: {other:?}"),
-                })
+                return Err(refuted(
+                    "L3→MiniML transfer".into(),
+                    format!("conversion did not produce a value: {other:?}"),
+                ))
             }
         }
 
@@ -258,22 +245,23 @@ impl MemGcModelChecker {
                     Value::Pair(_, p) => p.as_loc(),
                     _ => None,
                 };
-                let new_loc = new_loc.ok_or_else(|| MemGcCounterExample {
-                    claim: "MiniML→L3 conversion".into(),
-                    reason: format!("expected a package ((), ℓ), got {v}"),
+                let new_loc = new_loc.ok_or_else(|| {
+                    refuted(
+                        "MiniML→L3 conversion".into(),
+                        format!("expected a package ((), ℓ), got {v}"),
+                    )
                 })?;
                 if new_loc == gc_loc {
-                    return Err(MemGcCounterExample {
-                        claim: "MiniML→L3 conversion".into(),
-                        reason: "the GC'd cell was reused directly — aliases would be broken"
-                            .into(),
-                    });
+                    return Err(refuted(
+                        "MiniML→L3 conversion".into(),
+                        "the GC'd cell was reused directly — aliases would be broken".into(),
+                    ));
                 }
                 if !matches!(r.heap.slot(gc_loc), Some(Slot::Gc(_))) {
-                    return Err(MemGcCounterExample {
-                        claim: "MiniML→L3 conversion".into(),
-                        reason: "the original GC'd cell was disturbed".into(),
-                    });
+                    return Err(refuted(
+                        "MiniML→L3 conversion".into(),
+                        "the original GC'd cell was disturbed".into(),
+                    ));
                 }
                 let mut rho = LocSubst::new();
                 rho.insert(LocVar::new("ζ"), new_loc);
@@ -282,17 +270,17 @@ impl MemGcModelChecker {
                     L3Type::bang(L3Type::ptr("ζ")),
                 );
                 if !self.value_in(&r.heap, &rho, v, &MemGcSemType::L3(pkg_ty)) {
-                    return Err(MemGcCounterExample {
-                        claim: "MiniML→L3 conversion".into(),
-                        reason: format!("result is not in V⟦{l3_ref}⟧"),
-                    });
+                    return Err(refuted(
+                        "MiniML→L3 conversion".into(),
+                        format!("result is not in V⟦{l3_ref}⟧"),
+                    ));
                 }
             }
             other => {
-                return Err(MemGcCounterExample {
-                    claim: "MiniML→L3 conversion".into(),
-                    reason: format!("conversion did not produce a value: {other:?}"),
-                })
+                return Err(refuted(
+                    "MiniML→L3 conversion".into(),
+                    format!("conversion did not produce a value: {other:?}"),
+                ))
             }
         }
         Ok(())
@@ -301,12 +289,13 @@ impl MemGcModelChecker {
     /// Type safety for a compiled §5 program: the run may produce a value,
     /// run out of fuel, or fail `Conv`; `Type` and `Ptr` failures witness a
     /// violation.
-    pub fn check_type_safety(&self, expr: &Expr) -> Result<(), MemGcCounterExample> {
+    pub fn check_type_safety(&self, expr: &Expr) -> Result<(), CheckFailure> {
         let r = Machine::run_expr(expr.clone(), self.fuel);
         match r.halt {
             Halt::Value(_) | Halt::OutOfFuel | Halt::Fail(ErrorCode::Conv) => Ok(()),
-            other => Err(MemGcCounterExample {
+            other => Err(CheckFailure {
                 claim: "type safety".into(),
+                witness: expr.to_string(),
                 reason: format!("{other:?}"),
             }),
         }
@@ -328,8 +317,17 @@ fn collect_locs(v: &Value, out: &mut Vec<Loc>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::MemGcMultiLang;
+    use crate::multilang::MgProgram;
     use crate::syntax::{L3Expr, PolyExpr};
+    use crate::MemGcCase;
+    use semint_core::CaseStudy;
+
+    /// Type checks and compiles a closed program.
+    fn compile(program: MgProgram) -> Expr {
+        let case = MemGcCase::standard();
+        case.typecheck(&program).expect("typechecks");
+        case.compile(&program).expect("compiles")
+    }
 
     fn checker() -> MemGcModelChecker {
         MemGcModelChecker::new()
@@ -433,17 +431,16 @@ mod tests {
     #[test]
     fn compiled_case_study_programs_pass_the_safety_check() {
         let c = checker();
-        let sys = MemGcMultiLang::new();
         let ml = PolyExpr::deref(PolyExpr::boundary(
             L3Expr::new(L3Expr::bool_(true)),
             PolyType::ref_(PolyType::Int),
         ));
-        c.check_type_safety(&sys.compile_ml(&ml).unwrap()).unwrap();
+        c.check_type_safety(&compile(MgProgram::Ml(ml))).unwrap();
         let l3 = L3Expr::free(L3Expr::boundary(
             PolyExpr::ref_(PolyExpr::int(3)),
             L3Type::ref_like(L3Type::Bool),
         ));
-        c.check_type_safety(&sys.compile_l3(&l3).unwrap()).unwrap();
+        c.check_type_safety(&compile(MgProgram::L3(l3))).unwrap();
         // A deliberately broken target program is caught.
         let bad = Expr::free(Expr::ref_(Expr::int(1)));
         assert!(c.check_type_safety(&bad).is_err());

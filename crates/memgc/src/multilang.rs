@@ -1,21 +1,11 @@
-//! The end-to-end driver for case study 3.
+//! The closed programs and source types of case study 3.
 //!
-//! [`MemGcMultiLang`] owns the §5 rule set and the fuel budget and
-//! sequences the stages itself: MiniML/L3 typecheck, compile with glue, and
-//! an LCVM run with GC and manual memory.
+//! A §5 multi-language program is hosted in either MiniML or L3; these enums
+//! name the two hosts.  [`crate::MemGcCase`] typechecks, compiles and runs
+//! them on LCVM with GC and manual memory.
 
-use crate::compile::{MemGcCompileError, MemGcCompiler};
-use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
-use crate::typecheck::{check_l3, check_poly, MemGcCtx, MemGcTypeError};
-use lcvm::{Expr, Machine, RunResult};
-use semint_core::pipeline::PipelineError;
-use semint_core::Fuel;
 use std::fmt;
-
-/// Errors from the §5 pipeline: the shared [`PipelineError`] shape
-/// instantiated at this case study's stage errors.
-pub type MemGcMultiLangError = PipelineError<MemGcTypeError, MemGcCompileError>;
 
 /// A closed §5 multi-language program, hosted in either language.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,106 +43,20 @@ impl fmt::Display for MgSourceType {
     }
 }
 
-/// The §5 multi-language system: MiniML + L3 + the §5 conversions over
-/// LCVM with GC and manual memory.
-#[derive(Debug, Clone, Default)]
-pub struct MemGcMultiLang {
-    conversions: MemGcConversions,
-    fuel: Fuel,
-}
-
-impl MemGcMultiLang {
-    /// A system with the standard rule set and default fuel.
-    pub fn new() -> Self {
-        MemGcMultiLang {
-            conversions: MemGcConversions::standard(),
-            fuel: Fuel::default(),
-        }
-    }
-
-    /// Overrides the fuel budget.
-    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &MemGcConversions {
-        &self.conversions
-    }
-
-    /// Type checks a closed multi-language program (either host language).
-    pub fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, MemGcTypeError> {
-        match program {
-            MgProgram::Ml(e) => self.typecheck_ml(e).map(MgSourceType::Ml),
-            MgProgram::L3(e) => self.typecheck_l3(e).map(MgSourceType::L3),
-        }
-    }
-
-    /// Type checks a closed MiniML program.
-    pub fn typecheck_ml(&self, e: &PolyExpr) -> Result<PolyType, MemGcTypeError> {
-        check_poly(&MemGcCtx::empty(), e, &self.conversions).map(|(t, _)| t)
-    }
-
-    /// Type checks a closed L3 program.
-    pub fn typecheck_l3(&self, e: &L3Expr) -> Result<L3Type, MemGcTypeError> {
-        check_l3(&MemGcCtx::empty(), e, &self.conversions).map(|(t, _)| t)
-    }
-
-    /// Type checks and compiles a closed multi-language program.
-    pub fn compile(&self, program: &MgProgram) -> Result<Expr, MemGcMultiLangError> {
-        self.typecheck(program).map_err(PipelineError::Type)?;
-        self.compile_only(program).map_err(PipelineError::Compile)
-    }
-
-    /// Compiles a program already known to type check, skipping the
-    /// typecheck stage (the sweep engine re-checks the generator's type
-    /// claim once up front).
-    pub fn compile_only(&self, program: &MgProgram) -> Result<Expr, MemGcCompileError> {
-        let compiler = MemGcCompiler::new(&self.conversions, &self.conversions);
-        match program {
-            MgProgram::Ml(e) => compiler.compile_ml_program(e),
-            MgProgram::L3(e) => compiler.compile_l3_program(e),
-        }
-    }
-
-    /// Type checks and compiles a closed MiniML program.
-    pub fn compile_ml(&self, e: &PolyExpr) -> Result<Expr, MemGcMultiLangError> {
-        self.compile(&MgProgram::Ml(e.clone()))
-    }
-
-    /// Type checks and compiles a closed L3 program.
-    pub fn compile_l3(&self, e: &L3Expr) -> Result<Expr, MemGcMultiLangError> {
-        self.compile(&MgProgram::L3(e.clone()))
-    }
-
-    /// Runs a closed multi-language program under the given fuel budget.
-    pub fn run_with_fuel(
-        &self,
-        program: &MgProgram,
-        fuel: Fuel,
-    ) -> Result<RunResult, MemGcMultiLangError> {
-        Ok(Machine::run_expr(self.compile(program)?, fuel))
-    }
-
-    /// Type checks, compiles and runs a MiniML program.
-    pub fn run_ml(&self, e: &PolyExpr) -> Result<RunResult, MemGcMultiLangError> {
-        self.run_with_fuel(&MgProgram::Ml(e.clone()), self.fuel)
-    }
-
-    /// Type checks, compiles and runs an L3 program.
-    pub fn run_l3(&self, e: &L3Expr) -> Result<RunResult, MemGcMultiLangError> {
-        self.run_with_fuel(&MgProgram::L3(e.clone()), self.fuel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcvm::{Halt, Slot, Value};
+    use crate::typecheck::MemGcTypeError;
+    use crate::MemGcCase;
+    use lcvm::{Halt, RunResult, Slot, Value};
+    use semint_core::Fuel;
 
-    fn sys() -> MemGcMultiLang {
-        MemGcMultiLang::new()
+    fn run_ml(e: &PolyExpr) -> Result<RunResult, String> {
+        MemGcCase::standard().run(&MgProgram::Ml(e.clone()), Fuel::default())
+    }
+
+    fn run_l3(e: &L3Expr) -> Result<RunResult, String> {
+        MemGcCase::standard().run(&MgProgram::L3(e.clone()), Fuel::default())
     }
 
     /// The L3 program `new true` packaged for crossing the boundary: it has
@@ -168,7 +72,7 @@ mod tests {
             l3_new_bool(true),
             PolyType::ref_(PolyType::Int),
         ));
-        let r = sys().run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(0)));
         // Exactly one manual allocation happened (inside L3), zero GC
         // allocations: the cell was moved, not copied.
@@ -190,7 +94,7 @@ mod tests {
                 PolyType::ref_(PolyType::Int),
             )),
         ));
-        let r = sys().run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(1)));
         assert!(r.heap.stats().gc_runs >= 2);
     }
@@ -202,7 +106,7 @@ mod tests {
             PolyExpr::ref_(PolyExpr::int(5)),
             L3Type::ref_like(L3Type::Bool),
         ));
-        let r = sys().run_l3(&e).unwrap();
+        let r = run_l3(&e).unwrap();
         // 5 collapses to false (1).
         assert_eq!(r.halt, Halt::Value(Value::Int(1)));
         assert_eq!(r.heap.stats().gc_allocs, 1);
@@ -228,12 +132,13 @@ mod tests {
             ),
             PolyExpr::boundary(L3Expr::bool_(false), PolyType::foreign(L3Type::Bool)),
         );
-        let sysm = sys();
         assert_eq!(
-            sysm.typecheck_ml(&e).unwrap(),
-            PolyType::foreign(L3Type::Bool)
+            MemGcCase::standard()
+                .type_of(&MgProgram::Ml(e.clone()))
+                .unwrap(),
+            MgSourceType::Ml(PolyType::foreign(L3Type::Bool))
         );
-        let r = sysm.run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         assert_eq!(
             r.halt,
             Halt::Value(Value::Int(1)),
@@ -248,15 +153,19 @@ mod tests {
             PolyExpr::lam("x", PolyType::church_bool(), PolyExpr::var("x")),
             PolyExpr::boundary(L3Expr::bool_(true), PolyType::church_bool()),
         );
-        let sysm = sys();
-        assert_eq!(sysm.typecheck_ml(&e).unwrap(), PolyType::church_bool());
+        assert_eq!(
+            MemGcCase::standard()
+                .type_of(&MgProgram::Ml(e.clone()))
+                .unwrap(),
+            MgSourceType::Ml(PolyType::church_bool())
+        );
         // Use the resulting Church boolean from L3 by converting it back.
         let use_it = L3Expr::if_(
             L3Expr::boundary(e, L3Type::Bool),
             L3Expr::bool_(false),
             L3Expr::bool_(true),
         );
-        let r = sysm.run_l3(&use_it).unwrap();
+        let r = run_l3(&use_it).unwrap();
         // The boolean was true, so the first branch runs and returns false (1).
         assert_eq!(r.halt, Halt::Value(Value::Int(1)));
     }
@@ -275,7 +184,7 @@ mod tests {
             L3Expr::boundary(ml_fun, l3_ty),
             L3Expr::app(L3Expr::uvar("f"), L3Expr::bang(L3Expr::bool_(true))),
         );
-        let r = sys().run_l3(&e).unwrap();
+        let r = run_l3(&e).unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(0)));
     }
 
@@ -287,12 +196,13 @@ mod tests {
             l3_new_bool(true),
             PolyType::foreign(L3Type::ref_like(L3Type::Bool)),
         );
+        let program = MgProgram::Ml(e);
+        let case = MemGcCase::standard();
         assert!(matches!(
-            sys().run_ml(&e),
-            Err(MemGcMultiLangError::Type(
-                MemGcTypeError::NotConvertible { .. }
-            ))
+            case.type_of(&program),
+            Err(MemGcTypeError::NotConvertible { .. })
         ));
+        assert!(case.run(&program, Fuel::default()).is_err());
     }
 
     #[test]
@@ -311,22 +221,16 @@ mod tests {
             ),
             PolyExpr::boundary(l3_new_bool(true), PolyType::ref_(PolyType::Int)),
         );
-        let r = sys().run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         assert_eq!(r.halt, Halt::Value(Value::Int(9)));
 
-        // A one-step budget cuts the same run short; an explicit budget
-        // overrides the facade's own.
-        let starved = sys().with_fuel(Fuel::steps(1));
-        assert_eq!(starved.run_ml(&e).unwrap().halt, Halt::OutOfFuel);
-        let r = starved
-            .run_with_fuel(&MgProgram::Ml(e), Fuel::default())
-            .unwrap();
-        assert_eq!(r.halt, Halt::Value(Value::Int(9)));
+        // A one-step budget cuts the same run short.
+        let starved = MemGcCase::standard().run(&MgProgram::Ml(e), Fuel::steps(1));
+        assert_eq!(starved.unwrap().halt, Halt::OutOfFuel);
     }
 
     #[test]
     fn well_typed_programs_are_safe() {
-        let sysm = sys();
         let ml_programs = vec![
             PolyExpr::deref(PolyExpr::boundary(
                 l3_new_bool(false),
@@ -339,7 +243,7 @@ mod tests {
             ),
         ];
         for e in ml_programs {
-            let r = sysm.run_ml(&e).unwrap();
+            let r = run_ml(&e).unwrap();
             assert!(r.halt.is_safe(), "{e} produced {:?}", r.halt);
         }
         let l3_programs = vec![
@@ -354,7 +258,7 @@ mod tests {
             ),
         ];
         for e in l3_programs {
-            let r = sysm.run_l3(&e).unwrap();
+            let r = run_l3(&e).unwrap();
             assert!(r.halt.is_safe(), "{e} produced {:?}", r.halt);
         }
     }
@@ -362,7 +266,7 @@ mod tests {
     #[test]
     fn transferred_cell_slot_is_gc_after_the_boundary() {
         let e = PolyExpr::boundary(l3_new_bool(true), PolyType::ref_(PolyType::Int));
-        let r = sys().run_ml(&e).unwrap();
+        let r = run_ml(&e).unwrap();
         let loc = r
             .halt
             .value_ref()

@@ -229,11 +229,11 @@ pub fn compile_ll(
     })
 }
 
-/// A lightweight syntactic type reconstruction used only to select the
-/// conversion at a boundary.  It mirrors the type checker but works without
-/// an environment for the common closed cases; boundary-heavy programs should
-/// be compiled through `sharedmem::MultiLang`, which runs the real type
-/// checker first and caches the boundary types.
+/// The type reconstruction used only to select the conversion at a
+/// boundary: it re-runs the type checker on the boundary's subterm, with an
+/// oracle that accepts every conversion.  Callers such as
+/// `sharedmem::SharedMemCase` type check the whole program first, so this
+/// re-walk repeats work the typecheck stage already did.
 fn infer_ll_type_for_boundary(ctx: &TypeCtx, e: &LlExpr) -> Option<LlType> {
     crate::typecheck::check_ll(ctx, e, &AllowAllOracle).ok()
 }

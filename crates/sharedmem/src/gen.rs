@@ -358,32 +358,35 @@ fn hl_ref_payload_for(ty: &LlType) -> Option<HlType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::MultiLang;
+    use crate::multilang::{SmProgram, SourceType};
+    use crate::SharedMemCase;
 
     #[test]
     fn generated_hl_programs_typecheck_at_the_requested_type() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let case = SharedMemCase::standard();
         for seed in 0..60 {
             let mut gen = ProgramGen::new(seed);
             let ty = gen.gen_hl_type(2);
             let e = gen.gen_hl(&ty);
-            let checked = ml.typecheck_hl(&e).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
-            assert_eq!(checked, ty, "seed {seed}");
+            let checked = case
+                .type_of(&SmProgram::Hl(e.clone()))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
+            assert_eq!(checked, SourceType::Hl(ty), "seed {seed}");
         }
     }
 
     #[test]
     fn generated_ll_programs_typecheck() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let case = SharedMemCase::standard();
         for seed in 0..60 {
             let mut gen = ProgramGen::new(seed);
             let e = gen.gen_ll(&LlType::Int);
-            let ty = ml
-                .typecheck_ll(&e)
+            let ty = case
+                .type_of(&SmProgram::Ll(e))
                 .expect("generated RefLL program typechecks");
-            assert_eq!(ty, LlType::Int);
+            assert_eq!(ty, SourceType::Ll(LlType::Int));
         }
     }
 
@@ -419,7 +422,7 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let case = SharedMemCase::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen =
@@ -427,10 +430,10 @@ mod tests {
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
-            let checked = ml
-                .typecheck_hl(&e)
+            let checked = case
+                .type_of(&SmProgram::Hl(e.clone()))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
-            assert_eq!(checked, ty, "seed {seed}");
+            assert_eq!(checked, SourceType::Hl(ty), "seed {seed}");
         }
         assert!(
             max_depth_seen >= 4,

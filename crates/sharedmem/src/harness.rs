@@ -4,8 +4,10 @@
 use crate::convert::SharedMemConversions;
 use crate::gen::ProgramGen;
 use crate::model::{ModelChecker, SemType, World};
-use crate::multilang::{MultiLang, SourceType};
+use crate::multilang::SourceType;
+use reflang::compile::{compile_hl, compile_ll};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
+use reflang::typecheck::{check_hl, check_ll, TypeCtx, TypeError};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats, Outcome};
@@ -21,7 +23,9 @@ const TYPE_SAFETY_FUEL: u64 = 200_000;
 const EXPR_STEP_INDEX: u64 = 20_000;
 const _: () = assert!(EXPR_STEP_INDEX <= TYPE_SAFETY_FUEL);
 
-/// Case study 1 packaged for the harness engine.
+/// Case study 1 as one object: the Fig. 4 rule set with its glue, the
+/// RefHL/RefLL typecheckers and compilers, StackLang, and the Fig. 5 model,
+/// packaged for the harness engine.
 ///
 /// The `broken` flag simulates a designer error: an extra convertibility
 /// rule `bool ∼ [int]` whose glue is the identity.  The rule is unsound —
@@ -30,7 +34,7 @@ const _: () = assert!(EXPR_STEP_INDEX <= TYPE_SAFETY_FUEL);
 /// the engine's counterexample shrinker is exercised on.
 #[derive(Debug, Clone)]
 pub struct SharedMemCase {
-    system: MultiLang,
+    conversions: SharedMemConversions,
     checker: ModelChecker,
     broken: bool,
 }
@@ -38,8 +42,14 @@ pub struct SharedMemCase {
 impl SharedMemCase {
     /// The standard (sound) rule set.
     pub fn standard() -> Self {
+        SharedMemCase::new(SharedMemConversions::standard())
+    }
+
+    /// The case study over the given rule set, e.g. the copy-convert
+    /// ablation [`SharedMemConversions::with_ref_strategy`].
+    pub fn new(conversions: SharedMemConversions) -> Self {
         SharedMemCase {
-            system: MultiLang::new(SharedMemConversions::standard()),
+            conversions,
             checker: ModelChecker::default(),
             broken: false,
         }
@@ -51,6 +61,30 @@ impl SharedMemCase {
             broken: true,
             ..SharedMemCase::standard()
         }
+    }
+
+    /// The conversion rule set in use.
+    pub fn conversions(&self) -> &SharedMemConversions {
+        &self.conversions
+    }
+
+    /// Type checks a closed program (either host language), keeping the
+    /// typed error that [`CaseStudy::typecheck`] renders.
+    pub fn type_of(&self, program: &SmProgram) -> Result<SourceType, TypeError> {
+        match program {
+            SmProgram::Hl(e) => {
+                check_hl(&TypeCtx::empty(), e, &self.conversions).map(SourceType::Hl)
+            }
+            SmProgram::Ll(e) => {
+                check_ll(&TypeCtx::empty(), e, &self.conversions).map(SourceType::Ll)
+            }
+        }
+    }
+
+    /// Type checks, compiles and runs a closed program under `fuel`.
+    pub fn run(&self, program: &SmProgram, fuel: Fuel) -> Result<RunResult, String> {
+        self.typecheck(program)?;
+        Ok(Machine::run_program(self.compile(program)?, fuel))
     }
 
     /// The claimed model type of a scenario, with the broken rule applied.
@@ -140,7 +174,7 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<SmProgram, SourceType> {
-        let mut gen = ProgramGen::with_config(seed, *profile, self.system.conversions().clone());
+        let mut gen = ProgramGen::with_config(seed, *profile, self.conversions.clone());
         // Every fourth scenario is RefLL-hosted so both directions of the
         // boundary get swept.
         if seed % 4 == 3 {
@@ -163,11 +197,15 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn typecheck(&self, program: &SmProgram) -> Result<SourceType, String> {
-        self.system.typecheck(program).map_err(|e| e.to_string())
+        self.type_of(program).map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &SmProgram) -> Result<Program, String> {
-        self.system.compile_only(program).map_err(|e| e.to_string())
+        match program {
+            SmProgram::Hl(e) => compile_hl(&TypeCtx::empty(), e, &self.conversions),
+            SmProgram::Ll(e) => compile_ll(&TypeCtx::empty(), e, &self.conversions),
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// Drives the whole batch through **one** StackLang machine, reset
@@ -206,9 +244,8 @@ impl CaseStudy for SharedMemCase {
         self.checker
             .run_is_type_safe(compiled, &result)
             .map_err(|ce| CheckFailure {
-                claim: ce.claim,
                 witness: program.to_string(),
-                reason: ce.reason,
+                ..ce
             })?;
 
         // The Fundamental Property: the compiled program inhabits E⟦τ⟧ at
@@ -257,14 +294,8 @@ impl CaseStudy for SharedMemCase {
         ];
         for hl in &hl_types {
             for ll in &ll_types {
-                if self.system.conversions().derive(hl, ll).is_some() {
-                    self.checker
-                        .check_convertibility(hl, ll)
-                        .map_err(|ce| CheckFailure {
-                            claim: ce.claim,
-                            witness: ce.witness,
-                            reason: ce.reason,
-                        })?;
+                if self.conversions.derive(hl, ll).is_some() {
+                    self.checker.check_convertibility(hl, ll)?;
                 }
             }
         }
@@ -279,15 +310,14 @@ impl CaseStudy for SharedMemCase {
                 )
                 .map_err(|ce| CheckFailure {
                     claim: format!("deliberately broken rule: {}", ce.claim),
-                    witness: ce.witness,
-                    reason: ce.reason,
+                    ..ce
                 })?;
         }
         Ok(())
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.system.conversions().cache().stats())
+        Some(self.conversions.cache().stats())
     }
 }
 
@@ -345,9 +375,8 @@ mod tests {
         case.checker
             .check_type_safety(compiled, Fuel::steps(TYPE_SAFETY_FUEL))
             .map_err(|ce| CheckFailure {
-                claim: ce.claim,
                 witness: program.to_string(),
-                reason: ce.reason,
+                ..ce
             })?;
         let sem_ty = case.claimed_sem_type(ty);
         let world = World::new(EXPR_STEP_INDEX);

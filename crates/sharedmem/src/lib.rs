@@ -9,9 +9,12 @@
 //!   StackLang glue code, plus the two alternative strategies the paper's
 //!   Discussion describes (copy-convert and per-access conversion), used by
 //!   the benchmark ablations;
-//! * [`multilang`] — a driver that type checks a multi-language program
-//!   (both environments, boundaries), compiles it with the registered glue
-//!   code and runs it on the StackLang machine;
+//! * [`harness`] — [`SharedMemCase`], the case study as one object: it owns
+//!   a rule set, type checks a multi-language program (both host languages,
+//!   boundaries), compiles it with the registered glue code, runs it on the
+//!   StackLang machine, and implements the engine's `CaseStudy` trait;
+//! * [`multilang`] — the closed programs and source types of either host
+//!   language;
 //! * [`model`] — an executable approximation of the Fig. 5 realizability
 //!   model: step-indexed worlds over heap typings, value and expression
 //!   relations for both languages' types, and checkers for Convertibility
@@ -21,15 +24,15 @@
 //!   Property).
 //!
 //! ```
-//! use sharedmem::convert::SharedMemConversions;
-//! use sharedmem::multilang::MultiLang;
+//! use sharedmem::{SharedMemCase, SmProgram};
 //! use reflang::syntax::{HlExpr, HlType, LlExpr};
+//! use semint_core::Fuel;
 //! use stacklang::Value;
 //!
 //! // ⦇ 1 + 1 ⦈bool : RefLL arithmetic used as a RefHL boolean (non-zero = false).
 //! let prog = HlExpr::boundary(LlExpr::add(LlExpr::int(1), LlExpr::int(1)), HlType::Bool);
-//! let ml = MultiLang::new(SharedMemConversions::standard());
-//! let out = ml.run_hl(&prog).unwrap();
+//! let case = SharedMemCase::standard();
+//! let out = case.run(&SmProgram::Hl(prog), Fuel::default()).unwrap();
 //! assert_eq!(out.outcome.value(), Some(Value::Num(2)));
 //! ```
 
@@ -44,4 +47,3 @@ pub mod multilang;
 
 pub use convert::{RefStrategy, SharedMemConversions};
 pub use harness::{SharedMemCase, SmProgram};
-pub use multilang::{MultiLang, MultiLangError};

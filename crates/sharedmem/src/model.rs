@@ -39,7 +39,7 @@
 
 use crate::convert::SharedMemConversions;
 use reflang::syntax::{HlType, LlType};
-use semint_core::{ErrorCode, Fuel, Outcome, StepIndex};
+use semint_core::{CheckFailure, ErrorCode, Fuel, Outcome, StepIndex};
 use stacklang::{Heap, Instr, Loc, Machine, Program, RunResult, StackState, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -164,23 +164,6 @@ impl semint_core::world::World for World {
             k,
             heap_typing: self.heap_typing.clone(),
         }
-    }
-}
-
-/// A counterexample found by one of the checkers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterExample {
-    /// What was being checked.
-    pub claim: String,
-    /// The offending value or program, rendered.
-    pub witness: String,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for CounterExample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {} — {}", self.claim, self.witness, self.reason)
     }
 }
 
@@ -482,11 +465,11 @@ impl ModelChecker {
     /// The executable content of **Lemma 3.1 (Convertibility Soundness)** for
     /// one rule: for every sampled `(W, v) ∈ V⟦hl⟧`, pushing `v` and running
     /// `C_{hl↦ll}` must land in `E⟦ll⟧`, and symmetrically.
-    pub fn check_convertibility(&self, hl: &HlType, ll: &LlType) -> Result<(), CounterExample> {
+    pub fn check_convertibility(&self, hl: &HlType, ll: &LlType) -> Result<(), CheckFailure> {
         let (to_ll, to_hl) = match self.conversions.derive(hl, ll) {
             Some(pair) => pair,
             None => {
-                return Err(CounterExample {
+                return Err(CheckFailure {
                     claim: format!("{hl} ∼ {ll}"),
                     witness: "-".into(),
                     reason: "rule not derivable".into(),
@@ -505,12 +488,12 @@ impl ModelChecker {
         from: &SemType,
         to: &SemType,
         glue: &Program,
-    ) -> Result<(), CounterExample> {
+    ) -> Result<(), CheckFailure> {
         let world = World::new(10_000);
         for v in self.sample_values(from, self.fun_depth) {
             let program = Program::single(Instr::push_val(v.clone())).then(glue.clone());
             if !self.expr_in(&world, Heap::new(), &program, to) {
-                return Err(CounterExample {
+                return Err(CheckFailure {
                     claim: format!("C_{{{from} ↦ {to}}} sound"),
                     witness: v.to_string(),
                     reason: format!("conversion output is not in E⟦{to}⟧"),
@@ -525,7 +508,7 @@ impl ModelChecker {
                 let world = World::new(10_000).with_loc(l, payload.clone());
                 let program = Program::single(Instr::push_val(Value::Loc(l))).then(glue.clone());
                 if !self.expr_in(&world, heap, &program, to) {
-                    return Err(CounterExample {
+                    return Err(CheckFailure {
                         claim: format!("C_{{{from} ↦ {to}}} sound"),
                         witness: format!("ℓ ↦ {pv}"),
                         reason: format!("converted reference is not in E⟦{to}⟧"),
@@ -539,7 +522,7 @@ impl ModelChecker {
     /// The executable content of **Theorems 3.3/3.4 (type safety)** for one
     /// compiled program: it must run to a value, a benign failure, or out of
     /// fuel — never a dynamic type error.
-    pub fn check_type_safety(&self, program: &Program, fuel: Fuel) -> Result<(), CounterExample> {
+    pub fn check_type_safety(&self, program: &Program, fuel: Fuel) -> Result<(), CheckFailure> {
         self.run_is_type_safe(program, &Machine::run_program(program.clone(), fuel))
     }
 
@@ -549,11 +532,11 @@ impl ModelChecker {
         &self,
         program: &Program,
         result: &RunResult,
-    ) -> Result<(), CounterExample> {
+    ) -> Result<(), CheckFailure> {
         if result.outcome.is_safe() {
             Ok(())
         } else {
-            Err(CounterExample {
+            Err(CheckFailure {
                 claim: "type safety".into(),
                 witness: program.to_string(),
                 reason: format!("outcome {:?}", result.outcome),

@@ -10,8 +10,9 @@
 //! resource.  Affi-internal code using the *static* arrow pays no runtime
 //! cost at all.
 
-use semint::affine::multilang::AffineMultiLang;
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
+use semint::affine::{AffProgram, AffineCase};
+use semint::core::{CaseStudy, Fuel};
 use semint::lcvm::Halt;
 
 fn thunked(ty: MlType, res: MlType) -> MlType {
@@ -19,7 +20,7 @@ fn thunked(ty: MlType, res: MlType) -> MlType {
 }
 
 fn main() {
-    let sys = AffineMultiLang::new();
+    let case = AffineCase::standard();
 
     // The affine callback: int ⊸ int, usable at most once.
     let callback = AffiExpr::lam("token", AffiType::Int, AffiExpr::avar("token"));
@@ -36,7 +37,8 @@ fn main() {
         ),
         MlExpr::boundary(callback.clone(), thunked(MlType::Int, MlType::Int)),
     );
-    let result = sys.run_ml(&MlExpr::add(polite, MlExpr::int(1))).unwrap();
+    let polite = AffProgram::Ml(MlExpr::add(polite, MlExpr::int(1)));
+    let result = case.run(&polite, Fuel::default()).unwrap();
     println!("polite MiniML consumer:   {:?}", result.halt);
     assert_eq!(result.halt, Halt::Value(semint::lcvm::Value::Int(42)));
 
@@ -55,7 +57,7 @@ fn main() {
         AffiExpr::boundary(rude_body, AffiType::lolli(AffiType::Int, AffiType::Int)),
         AffiExpr::int(7),
     );
-    let result = sys.run_affi(&rude).unwrap();
+    let result = case.run(&AffProgram::Affi(rude), Fuel::default()).unwrap();
     println!("rude MiniML consumer:     {:?}", result.halt);
     assert!(result.halt.is_fail_with(semint::core::ErrorCode::Conv));
 
@@ -65,13 +67,15 @@ fn main() {
         AffiExpr::lam_static("x", AffiType::Int, AffiExpr::avar_static("x")),
         AffiExpr::int(10),
     );
-    let compiled = sys.compile_affi(&internal).unwrap();
+    let internal = AffProgram::Affi(internal);
+    case.typecheck(&internal).unwrap();
+    let compiled = case.compile(&internal).unwrap();
     println!(
         "static-arrow call:        dynamic guards inserted = {}, statically-protected binders = {:?}",
         compiled.dynamic_guards, compiled.static_binders
     );
-    let standard = sys.run(&compiled);
-    let phantom = sys.run_phantom(&compiled);
+    let standard = case.run(&internal, Fuel::default()).unwrap();
+    let phantom = case.run_phantom(&compiled, Fuel::default());
     println!("  standard semantics:  {:?}", standard.halt);
     println!(
         "  augmented semantics: {:?} (flags consumed: {})",
@@ -84,7 +88,7 @@ fn main() {
         AffiExpr::lam_static("x", AffiType::Int, AffiExpr::avar_static("x")),
         thunked(MlType::Int, MlType::Int),
     );
-    match sys.typecheck_ml(&leak) {
+    match case.type_of(&AffProgram::Ml(leak)) {
         Err(err) => println!("static arrow cannot cross:  {err}"),
         Ok(ty) => unreachable!("should not typecheck at {ty}"),
     }

@@ -3,12 +3,13 @@
 //!
 //! Run with `cargo run --example gc_linear_transfer`.
 
+use semint::core::Fuel;
 use semint::lcvm::{Halt, Value};
-use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use semint::memgc::{MemGcCase, MgProgram};
 
 fn main() {
-    let sys = MemGcMultiLang::new();
+    let case = MemGcCase::standard();
 
     // --- Ownership transfer: L3 → MiniML ------------------------------------
     // L3 allocates a cell manually (`new true`), then the whole package
@@ -32,7 +33,7 @@ fn main() {
             PolyType::ref_(PolyType::Int),
         ),
     );
-    let r = sys.run_ml(&transfer).unwrap();
+    let r = case.run(&MgProgram::Ml(transfer), Fuel::default()).unwrap();
     println!("L3 → MiniML transfer:");
     println!("  result                    = {:?}", r.halt);
     println!(
@@ -50,7 +51,9 @@ fn main() {
         PolyExpr::ref_(PolyExpr::int(7)),
         L3Type::ref_like(L3Type::Bool),
     ));
-    let r = sys.run_l3(&copy_back).unwrap();
+    let r = case
+        .run(&MgProgram::L3(copy_back), Fuel::default())
+        .unwrap();
     println!("\nMiniML → L3 conversion (must copy, aliases may exist):");
     println!("  result            = {:?}", r.halt);
     println!("  GC allocations    = {}", r.heap.stats().gc_allocs);
@@ -74,7 +77,7 @@ fn main() {
         ),
         PolyExpr::boundary(L3Expr::bool_(false), PolyType::foreign(L3Type::Bool)),
     );
-    let r = sys.run_ml(&example1).unwrap();
+    let r = case.run(&MgProgram::Ml(example1), Fuel::default()).unwrap();
     println!(
         "\npaper example (1), (Λα. λx:α. λy:α. y) [⟨bool⟩] ⦇true⦈ ⦇false⦈ = {:?}",
         r.halt
@@ -93,7 +96,7 @@ fn main() {
         L3Expr::bool_(true),
         L3Expr::bool_(false),
     );
-    let r = sys.run_l3(&example2).unwrap();
+    let r = case.run(&MgProgram::L3(example2), Fuel::default()).unwrap();
     println!(
         "paper example (2), Church-boolean round trip            = {:?}",
         r.halt
@@ -104,7 +107,7 @@ fn main() {
         L3Expr::new(L3Expr::bool_(true)),
         PolyType::foreign(L3Type::ref_like(L3Type::Bool)),
     );
-    match sys.typecheck_ml(&smuggle) {
+    match case.type_of(&MgProgram::Ml(smuggle)) {
         Err(err) => println!("\ncapability smuggling rejected statically: {err}"),
         Ok(ty) => unreachable!("should not typecheck at {ty}"),
     }

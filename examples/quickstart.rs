@@ -9,10 +9,11 @@
 //! 4. soundness of conversions — checked executably (Lemma 3.1),
 //! 5. soundness of the languages — the compiled program never hits `fail Type`.
 
+use semint::core::{CaseStudy, Fuel};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
-use semint::sharedmem::convert::SharedMemConversions;
 use semint::sharedmem::model::{interp_equal, ModelChecker, SemType};
-use semint::sharedmem::multilang::MultiLang;
+use semint::sharedmem::multilang::SourceType;
+use semint::sharedmem::{SharedMemCase, SmProgram};
 
 fn main() {
     // Step 1+2: a multi-language program. RefLL computes an index into an
@@ -28,20 +29,21 @@ fn main() {
     );
     println!("source program:\n  {program}\n");
 
-    let system = MultiLang::new(SharedMemConversions::standard());
-    let ty = system
-        .typecheck_hl(&program)
-        .expect("the program type checks");
+    let case = SharedMemCase::standard();
+    let program = SmProgram::Hl(program);
+    let Ok(SourceType::Hl(ty)) = case.type_of(&program) else {
+        panic!("the program type checks in RefHL");
+    };
     println!("type: {ty}");
 
-    let compiled = system.compile_hl(&program).expect("compiles");
+    let compiled = case.compile(&program).expect("compiles");
     println!(
         "compiled StackLang program ({} instructions):\n  {}\n",
-        compiled.program.len(),
-        compiled.program
+        compiled.len(),
+        compiled
     );
 
-    let result = system.run_hl(&program).expect("runs");
+    let result = case.run(&program, Fuel::default()).expect("runs");
     println!("result: {}", result.outcome);
     println!("machine steps: {}", result.steps);
     assert!(
@@ -74,7 +76,7 @@ fn main() {
 
     // Step 5: type safety on the compiled program.
     checker
-        .check_type_safety(&compiled.program, semint::core::Fuel::default())
+        .check_type_safety(&compiled, Fuel::default())
         .expect("Theorem 3.4: the compiled program is safe");
     println!("\nType safety check passed.");
 }

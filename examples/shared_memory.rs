@@ -9,9 +9,10 @@
 //! the boundary as-is: both sides alias the same cell and neither pays any
 //! conversion cost per access.
 
+use semint::core::Fuel;
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
-use semint::sharedmem::multilang::MultiLang;
+use semint::sharedmem::{SharedMemCase, SmProgram};
 
 /// A RefHL function `ref bool → bool` that inverts the referenced flag and
 /// returns the old value.
@@ -66,8 +67,11 @@ fn main() {
 
     println!("RefLL program with a RefHL toggle applied to a shared reference:\n  {program}\n");
 
-    let sharing = MultiLang::new(SharedMemConversions::standard());
-    let result = sharing.run_ll(&program).expect("well-typed program runs");
+    let program = SmProgram::Ll(program);
+    let sharing = SharedMemCase::standard();
+    let result = sharing
+        .run(&program, Fuel::default())
+        .expect("well-typed program runs");
     println!("[pointer-sharing conversions]");
     println!(
         "  result (contents seen by RefLL after RefHL's write): {}",
@@ -80,9 +84,9 @@ fn main() {
     // Discussion: it still runs, but RefHL writes into a *copy*, so RefLL
     // does not observe the update — the aliasing behaviour differs, which is
     // exactly why the paper requires identical interpretations for sharing.
-    let copying = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+    let copying = SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
     let result = copying
-        .run_ll(&program)
+        .run(&program, Fuel::default())
         .expect("still well-typed under copying");
     println!("\n[copy-convert conversions (ablation)]");
     println!("  result: {}", result.outcome);
@@ -95,7 +99,7 @@ fn main() {
         LlExpr::ref_(LlExpr::array([LlExpr::int(1)], LlType::Int)),
         HlType::ref_(HlType::sum(HlType::Bool, HlType::Bool)),
     );
-    match sharing.typecheck_hl(&rejected) {
+    match sharing.type_of(&SmProgram::Hl(rejected)) {
         Err(err) => println!("\nAs expected, rejected unsound boundary: {err}"),
         Ok(ty) => unreachable!("should not typecheck at {ty}"),
     }

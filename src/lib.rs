@@ -19,7 +19,9 @@
 //!
 //! ## The `CaseStudy` abstraction and the `semint` CLI
 //!
-//! Each case-study crate implements [`core::case::CaseStudy`] (associated
+//! Each case-study crate packages its language pair as one object
+//! (`SharedMemCase`, `AffineCase`, `MemGcCase`) that owns the pair's rule
+//! set and implements [`core::case::CaseStudy`] (associated
 //! `Program`/`Ty`/`Report`/`Compiled` types; `generate`, `typecheck`,
 //! `compile`, `execute_batch`, `model_check_compiled`), and the [`harness`]
 //! engine drives any implementation — including all three at once,
@@ -63,8 +65,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use semint::sharedmem::{convert::SharedMemConversions, multilang::MultiLang};
+//! use semint::core::Fuel;
 //! use semint::reflang::syntax::{HlExpr, HlType, LlExpr};
+//! use semint::sharedmem::{SharedMemCase, SmProgram};
 //!
 //! // A RefHL program that embeds RefLL arithmetic as a boolean:
 //! //     if ⦇ 1 + 1 ⦈bool then false else true
@@ -73,8 +76,8 @@
 //!     HlExpr::bool_(false),
 //!     HlExpr::bool_(true),
 //! );
-//! let system = MultiLang::new(SharedMemConversions::standard());
-//! let result = system.run_hl(&prog).unwrap();
+//! let case = SharedMemCase::standard();
+//! let result = case.run(&SmProgram::Hl(prog), Fuel::default()).unwrap();
 //! assert!(result.outcome.is_safe());
 //! ```
 //!

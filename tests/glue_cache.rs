@@ -246,3 +246,37 @@ fn cold_and_warm_glue_caches_give_identical_reports() {
         );
     }
 }
+
+/// Each type pair is derived once per sweep however many workers race for
+/// it, so a sweep's glue figures do not depend on `--jobs`: a 4-worker deep
+/// sweep reports the hits and misses of a 1-worker one, and every miss is
+/// one memoized entry.  Racing workers only collide now and then, hence the
+/// repetitions.
+#[test]
+fn glue_figures_are_the_same_for_every_job_count() {
+    let source = SeedRange::new(0, 200).expect("well-formed");
+    let sweep = |jobs: usize| {
+        let cases = AnyCase::all(false);
+        let cfg = SweepConfig {
+            jobs,
+            profile: GenProfile::deep(),
+            model_check: false,
+            ..SweepConfig::default()
+        };
+        let report = sweep_all(&cases, &source, &cfg);
+        let figures: Vec<(u64, u64)> = report
+            .cases
+            .iter()
+            .map(|case| (case.glue_hits, case.glue_misses))
+            .collect();
+        for (case, &(_, misses)) in cases.iter().zip(&figures) {
+            let entries = case.glue_cache_stats().expect("cached rule set").entries;
+            assert_eq!(misses, entries as u64, "{} at --jobs {jobs}", case.name());
+        }
+        figures
+    };
+    let serial = sweep(1);
+    for round in 0..10 {
+        assert_eq!(sweep(4), serial, "round {round}");
+    }
+}

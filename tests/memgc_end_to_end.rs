@@ -2,13 +2,20 @@
 //! between manual and GC'd memory, and polymorphism over foreign types.
 
 use proptest::prelude::*;
-use semint::lcvm::{Halt, Value};
+use semint::core::Fuel;
+use semint::lcvm::{Halt, RunResult, Value};
 use semint::memgc::model::MemGcModelChecker;
-use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use semint::memgc::{MemGcCase, MgProgram};
 
-fn sys() -> MemGcMultiLang {
-    MemGcMultiLang::new()
+/// Type checks, compiles and runs a closed MiniML program.
+fn run_ml(e: &PolyExpr) -> Result<RunResult, String> {
+    MemGcCase::standard().run(&MgProgram::Ml(e.clone()), Fuel::default())
+}
+
+/// Type checks, compiles and runs a closed L3 program.
+fn run_l3(e: &L3Expr) -> Result<RunResult, String> {
+    MemGcCase::standard().run(&MgProgram::L3(e.clone()), Fuel::default())
 }
 
 #[test]
@@ -35,7 +42,7 @@ fn a_full_tour_allocate_in_l3_mutate_in_miniml_collect() {
             PolyType::ref_(PolyType::Int),
         )),
     ));
-    let r = sys().run_ml(&tour).unwrap();
+    let r = run_ml(&tour).unwrap();
     assert_eq!(r.halt, Halt::Value(Value::Int(1)));
     assert_eq!(r.heap.stats().manual_allocs, 2);
     assert_eq!(r.heap.stats().gcmovs, 2);
@@ -76,7 +83,7 @@ fn l3_uses_a_miniml_generic_library() {
         L3Expr::bool_(false),
         L3Expr::bool_(true),
     );
-    let r = sys().run_l3(&use_in_l3).unwrap();
+    let r = run_l3(&use_in_l3).unwrap();
     // fst of the swapped pair is the original second component: false (1), so
     // the else-branch returns true (0).
     assert_eq!(r.halt, Halt::Value(Value::Int(0)));
@@ -107,7 +114,6 @@ fn transfer_soundness_over_a_payload_catalogue() {
 fn double_transfer_keeps_the_same_location_alive() {
     // L3 → MiniML → L3 → MiniML: the first hop moves, the second copies, the
     // third moves again; contents survive every hop.
-    let sysm = sys();
     let hop1 = PolyExpr::boundary(
         L3Expr::new(L3Expr::bool_(true)),
         PolyType::ref_(PolyType::Int),
@@ -115,7 +121,7 @@ fn double_transfer_keeps_the_same_location_alive() {
     let hop2 = L3Expr::boundary(hop1, L3Type::ref_like(L3Type::Bool));
     let hop3 = PolyExpr::boundary(hop2, PolyType::ref_(PolyType::Int));
     let read = PolyExpr::deref(hop3);
-    let r = sysm.run_ml(&read).unwrap();
+    let r = run_ml(&read).unwrap();
     assert_eq!(r.halt, Halt::Value(Value::Int(0)));
     assert_eq!(r.heap.stats().gcmovs, 2, "two L3→MiniML hops");
     assert_eq!(
@@ -132,12 +138,11 @@ proptest! {
     /// normalised to {0,1}; handing it back preserves it exactly.
     #[test]
     fn reference_payload_normalisation(n in any::<i64>()) {
-        let sysm = sys();
-        let e = L3Expr::free(L3Expr::boundary(
+            let e = L3Expr::free(L3Expr::boundary(
             PolyExpr::ref_(PolyExpr::int(n)),
             L3Type::ref_like(L3Type::Bool),
         ));
-        let r = sysm.run_l3(&e).unwrap();
+        let r = run_l3(&e).unwrap();
         let expected = if n == 0 { 0 } else { 1 };
         prop_assert_eq!(r.halt, Halt::Value(Value::Int(expected)));
     }
@@ -146,8 +151,7 @@ proptest! {
     /// boolean that was stored, for either boolean.
     #[test]
     fn transfer_preserves_contents(b in any::<bool>(), write_back in proptest::option::of(-100i64..100)) {
-        let sysm = sys();
-        let read_or_update = match write_back {
+            let read_or_update = match write_back {
             None => PolyExpr::deref(PolyExpr::boundary(
                 L3Expr::new(L3Expr::bool_(b)),
                 PolyType::ref_(PolyType::Int),
@@ -164,7 +168,7 @@ proptest! {
                 PolyExpr::boundary(L3Expr::new(L3Expr::bool_(b)), PolyType::ref_(PolyType::Int)),
             ),
         };
-        let r = sysm.run_ml(&read_or_update).unwrap();
+        let r = run_ml(&read_or_update).unwrap();
         let expected = match write_back {
             None => {
                 if b {
@@ -188,9 +192,8 @@ proptest! {
         for _ in 0..depth {
             e = L3Expr::free(L3Expr::new(e));
         }
-        let sysm = sys();
-        sysm.typecheck_l3(&e).expect("typechecks");
-        let r = sysm.run_l3(&e).unwrap();
+            MemGcCase::standard().type_of(&MgProgram::L3(e.clone())).expect("typechecks");
+        let r = run_l3(&e).unwrap();
         prop_assert_eq!(r.halt, Halt::Value(Value::Int(0)));
         prop_assert_eq!(r.heap.manual_len(), 0);
         prop_assert_eq!(r.heap.stats().manual_allocs as usize, depth);

@@ -9,16 +9,16 @@
 //! (E1–E6) match `EXPERIMENTS.md`.
 
 use semint::affine::compile::thunk_guard;
-use semint::affine::multilang::AffineMultiLang;
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
+use semint::affine::{AffProgram, AffineCase};
 use semint::lcvm::{self, Expr, Machine};
-use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use semint::memgc::{MemGcCase, MgProgram};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
-use semint::sharedmem::multilang::MultiLang;
+use semint::sharedmem::{SharedMemCase, SmProgram};
 use semint::stacklang;
-use semint_core::Fuel;
+use semint_core::{CaseStudy, Fuel};
 
 /// The workload sizes every law is checked at.
 const SIZES: [u64; 6] = [0, 1, 2, 4, 8, 16];
@@ -110,8 +110,11 @@ fn proxied_ref_workload(crossings: u64) -> LlExpr {
     )
 }
 
-fn sharedmem_cost(system: &MultiLang, e: &LlExpr) -> Cost {
-    stacklang_cost(system.run_ll(e).expect("workload typechecks"))
+fn sharedmem_cost(case: &SharedMemCase, e: &LlExpr) -> Cost {
+    stacklang_cost(
+        case.run(&SmProgram::Ll(e.clone()), Fuel::default())
+            .expect("workload typechecks"),
+    )
 }
 
 /// Sharing a pointer costs nothing per crossing beyond the RefHL write; a
@@ -119,8 +122,8 @@ fn sharedmem_cost(system: &MultiLang, e: &LlExpr) -> Cost {
 /// allocation per crossing.
 #[test]
 fn e1_sharing_is_free_proxies_pay_per_access_copies_pay_per_crossing() {
-    let share = MultiLang::new(SharedMemConversions::standard());
-    let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+    let share = SharedMemCase::standard();
+    let copy = SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
     assert_law(
         "E1 share",
         SIZES,
@@ -193,7 +196,7 @@ fn sum_conversion_baseline(count: u64) -> LlExpr {
 /// StackLang arrays are stack values.
 #[test]
 fn e2_each_sum_to_array_conversion_costs_25_steps() {
-    let system = MultiLang::new(SharedMemConversions::standard());
+    let system = SharedMemCase::standard();
     assert_law(
         "E2 convert sums",
         SIZES,
@@ -259,14 +262,14 @@ fn cross_boundary_affine_chain(calls: u64) -> MlExpr {
 /// allocation and 25 steps); a cross-boundary call adds the Fig. 9 wrappers.
 #[test]
 fn e3_static_arrows_are_free_and_each_dynamic_call_pays_one_guard() {
-    let system = AffineMultiLang::new();
+    let system = AffineCase::standard();
     let chain_cost = |n: u64, dynamic: bool| {
-        let compiled = system
-            .compile_affi(&affine_chain(n, dynamic))
-            .expect("chain typechecks");
+        let program = AffProgram::Affi(affine_chain(n, dynamic));
+        system.typecheck(&program).expect("chain typechecks");
+        let compiled = system.compile(&program).expect("chain compiles");
         let guards = if dynamic { n } else { 0 };
         assert_eq!(compiled.dynamic_guards as u64, guards);
-        lcvm_cost(system.run(&compiled))
+        lcvm_cost(Machine::run_expr(compiled.expr, Fuel::default()))
     };
     assert_law(
         "E3 static chain",
@@ -295,7 +298,11 @@ fn e3_static_arrows_are_free_and_each_dynamic_call_pays_one_guard() {
         SIZES,
         |n| {
             let e = cross_boundary_affine_chain(n);
-            lcvm_cost(system.run_ml(&e).expect("chain typechecks"))
+            lcvm_cost(
+                system
+                    .run(&AffProgram::Ml(e), Fuel::default())
+                    .expect("chain typechecks"),
+            )
         },
         |n| Cost {
             steps: 58 * n + 1,
@@ -414,7 +421,7 @@ fn transfer_to_l3_workload(depth: u64) -> L3Expr {
 /// conversion grows with depth.
 #[test]
 fn e5_gcmov_moves_one_cell_at_every_payload_depth() {
-    let system = MemGcMultiLang::new();
+    let system = MemGcCase::standard();
     let depths = 0..=4;
     assert_law(
         "E5 L3 → MiniML",
@@ -422,7 +429,7 @@ fn e5_gcmov_moves_one_cell_at_every_payload_depth() {
         |d| {
             lcvm_cost(
                 system
-                    .run_ml(&transfer_to_ml_workload(d))
+                    .run(&MgProgram::Ml(transfer_to_ml_workload(d)), Fuel::default())
                     .expect("typechecks"),
             )
         },
@@ -439,7 +446,7 @@ fn e5_gcmov_moves_one_cell_at_every_payload_depth() {
         |d| {
             lcvm_cost(
                 system
-                    .run_l3(&transfer_to_l3_workload(d))
+                    .run(&MgProgram::L3(transfer_to_l3_workload(d)), Fuel::default())
                     .expect("typechecks"),
             )
         },
@@ -491,14 +498,14 @@ fn manual_pressure_workload(n: u64) -> L3Expr {
 /// frees all but the one still reachable.
 #[test]
 fn e6_manual_memory_leaves_nothing_and_the_collector_leaves_one_cell() {
-    let system = MemGcMultiLang::new();
+    let system = MemGcCase::standard();
     assert_law(
         "E6 manual new/free",
         SIZES,
         |n| {
             lcvm_cost(
                 system
-                    .run_l3(&manual_pressure_workload(n))
+                    .run(&MgProgram::L3(manual_pressure_workload(n)), Fuel::default())
                     .expect("typechecks"),
             )
         },
@@ -512,7 +519,13 @@ fn e6_manual_memory_leaves_nothing_and_the_collector_leaves_one_cell() {
     assert_law(
         "E6 GC'd allocation",
         SIZES,
-        |n| lcvm_cost(system.run_ml(&gc_pressure_workload(n)).expect("typechecks")),
+        |n| {
+            lcvm_cost(
+                system
+                    .run(&MgProgram::Ml(gc_pressure_workload(n)), Fuel::default())
+                    .expect("typechecks"),
+            )
+        },
         |n| Cost {
             steps: 8 * n + 45,
             allocs: n + 1,

@@ -3,22 +3,27 @@
 //! type-safety theorems (Thm 3.3/3.4).
 
 use proptest::prelude::*;
-use semint::core::{Fuel, GenProfile};
+use semint::core::{CaseStudy, Fuel, GenProfile};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
 use semint::sharedmem::gen::ProgramGen;
 use semint::sharedmem::model::{ModelChecker, SemType};
-use semint::sharedmem::multilang::MultiLang;
-use semint::stacklang::Value;
+use semint::sharedmem::multilang::SourceType;
+use semint::sharedmem::{SharedMemCase, SmProgram};
+use semint::stacklang::{RunResult, Value};
 
-fn system() -> MultiLang {
-    MultiLang::new(SharedMemConversions::standard()).with_fuel(Fuel::steps(200_000))
+fn run_hl(case: &SharedMemCase, e: &HlExpr) -> Result<RunResult, String> {
+    case.run(&SmProgram::Hl(e.clone()), Fuel::steps(200_000))
+}
+
+fn run_ll(case: &SharedMemCase, e: &LlExpr) -> Result<RunResult, String> {
+    case.run(&SmProgram::Ll(e.clone()), Fuel::steps(200_000))
 }
 
 #[test]
 fn the_paper_running_example_bool_int_roundtrip() {
     // RefHL booleans cross into RefLL, get arithmetic applied, and come back.
-    let sys = system();
+    let case = SharedMemCase::standard();
     let e = HlExpr::if_(
         HlExpr::boundary(
             LlExpr::add(
@@ -31,7 +36,7 @@ fn the_paper_running_example_bool_int_roundtrip() {
         HlExpr::bool_(true),
     );
     // true compiles to 0; 0 + 0 = 0; 0 is true; so the first branch (false) runs.
-    let r = sys.run_hl(&e).unwrap();
+    let r = run_hl(&case, &e).unwrap();
     assert_eq!(r.outcome.value(), Some(Value::Num(1)));
 }
 
@@ -39,7 +44,7 @@ fn the_paper_running_example_bool_int_roundtrip() {
 fn aliasing_through_nested_boundaries_is_preserved() {
     // A RefLL reference crosses into RefHL, gets written, and the update is
     // observed by RefLL through the original alias — with zero copies.
-    let sys = system();
+    let case = SharedMemCase::standard();
     let program = LlExpr::app(
         LlExpr::lam(
             "cell",
@@ -57,7 +62,7 @@ fn aliasing_through_nested_boundaries_is_preserved() {
         ),
         LlExpr::ref_(LlExpr::int(0)),
     );
-    let r = sys.run_ll(&program).unwrap();
+    let r = run_ll(&case, &program).unwrap();
     // assignment contributes 0 (unit), the cell now holds false = 1.
     assert_eq!(r.outcome.value(), Some(Value::Num(1)));
     assert_eq!(r.heap.len(), 1, "sharing allocates exactly one cell");
@@ -102,7 +107,7 @@ fn convertibility_soundness_holds_for_every_derivable_rule_in_a_catalogue() {
 
 #[test]
 fn copy_strategy_breaks_aliasing_but_stays_sound() {
-    let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+    let copy = SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
     let program = LlExpr::app(
         LlExpr::lam(
             "cell",
@@ -120,7 +125,7 @@ fn copy_strategy_breaks_aliasing_but_stays_sound() {
         ),
         LlExpr::ref_(LlExpr::int(0)),
     );
-    let r = copy.run_ll(&program).unwrap();
+    let r = run_ll(&copy, &program).unwrap();
     // The write went to the copy: RefLL still sees 0 — different behaviour,
     // still type safe.
     assert_eq!(r.outcome.value(), Some(Value::Num(0)));
@@ -135,24 +140,24 @@ proptest! {
     /// never reaches `fail Type`.
     #[test]
     fn generated_refhl_programs_are_type_safe(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let mut generator = ProgramGen::new(seed);
         let ty = generator.gen_hl_type(2);
         let program = generator.gen_hl(&ty);
-        let checked = sys.typecheck_hl(&program).expect("generated programs typecheck");
-        prop_assert_eq!(checked, ty);
-        let result = sys.run_hl(&program).expect("generated programs compile");
+        let checked = case.type_of(&SmProgram::Hl(program.clone())).expect("generated programs typecheck");
+        prop_assert_eq!(checked, SourceType::Hl(ty));
+        let result = run_hl(&case, &program).expect("generated programs compile");
         prop_assert!(result.outcome.is_safe(), "unsafe outcome {:?} for {}", result.outcome, program);
     }
 
     /// Theorem 3.3 for RefLL programs.
     #[test]
     fn generated_refll_programs_are_type_safe(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let mut generator = ProgramGen::new(seed);
         let program = generator.gen_ll(&LlType::Int);
-        sys.typecheck_ll(&program).expect("generated programs typecheck");
-        let result = sys.run_ll(&program).expect("generated programs compile");
+        case.type_of(&SmProgram::Ll(program.clone())).expect("generated programs typecheck");
+        let result = run_ll(&case, &program).expect("generated programs compile");
         prop_assert!(result.outcome.is_safe(), "unsafe outcome {:?} for {}", result.outcome, program);
     }
 
@@ -160,15 +165,16 @@ proptest! {
     /// inhabit the expression relation at their own type.
     #[test]
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let checker = ModelChecker::default();
-        let mut generator = ProgramGen::with_config(seed, GenProfile { boundary_bias: 30, ..GenProfile::standard() }, sys.conversions().clone());
+        let mut generator = ProgramGen::with_config(seed, GenProfile { boundary_bias: 30, ..GenProfile::standard() }, case.conversions().clone());
         let ty = generator.gen_hl_type(1);
-        let program = generator.gen_hl(&ty);
-        let compiled = sys.compile_hl(&program).expect("compiles");
+        let program = SmProgram::Hl(generator.gen_hl(&ty));
+        case.type_of(&program).expect("typechecks");
+        let compiled = case.compile(&program).expect("compiles");
         let world = semint::sharedmem::model::World::new(20_000);
         prop_assert!(
-            checker.expr_in(&world, semint::stacklang::Heap::new(), &compiled.program, &SemType::Hl(ty.clone())),
+            checker.expr_in(&world, semint::stacklang::Heap::new(), &compiled, &SemType::Hl(ty.clone())),
             "compiled program not in E⟦{}⟧: {}", ty, program
         );
     }
@@ -181,10 +187,10 @@ proptest! {
         let mut g1 = ProgramGen::with_config(seed, profile, SharedMemConversions::standard());
         let ty = g1.gen_hl_type(2);
         let program = g1.gen_hl(&ty);
-        let share = MultiLang::new(SharedMemConversions::standard());
-        let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
-        let r1 = share.run_hl(&program).expect("runs");
-        let r2 = copy.run_hl(&program).expect("runs");
+        let share = SharedMemCase::standard();
+        let copy = SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+        let r1 = run_hl(&share, &program).expect("runs");
+        let r2 = run_hl(&copy, &program).expect("runs");
         prop_assert_eq!(r1.outcome, r2.outcome);
     }
 }
